@@ -19,7 +19,21 @@ Quick start::
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the reproduced
 tables/figures.
+
+Importing the package pins the BLAS/OpenMP thread pools to one thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) unless
+the variable is already set: repro parallelises with processes, so BLAS
+threads only contend with them.  This works only if numpy has not been
+imported yet; see docs/INTERNALS.md ("BLAS threads").
 """
+
+import os
+
+#: Thread-count variables of the BLAS/OpenMP runtimes numpy may load.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
 
 from repro.machine import (
     BEHAVIOR_LIBRARY,

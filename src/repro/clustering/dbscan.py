@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,44 +51,64 @@ _GRID_MIN_POINTS = 256
 #: Fewer occupied cells than this means eps is so large relative to the
 #: data extent that the index cannot prune — use the matrix path.
 _GRID_MIN_CELLS = 8
-#: Cell coordinates beyond this magnitude risk int64/float trouble.
-_GRID_MAX_COORD = 1e15
+#: A cell key must stay below this (with margin under int64's 2^63).
+_GRID_MAX_KEY = 2.0**62
+#: Neighbour keys resolved per searchsorted call (bounds the transient
+#: cells x 3^d key matrix).
+_GRID_LOOKUP_CHUNK = 1 << 18
+
+_Cells = List[Tuple[np.ndarray, np.ndarray]]
 
 
-def _grid_buckets(
-    points: np.ndarray, cell: float
-) -> Optional[Dict[Tuple[int, ...], np.ndarray]]:
-    """Bucket point indices into a uniform grid of size ``cell``.
+def _grid_buckets(points: np.ndarray, cell: float) -> Optional[_Cells]:
+    """Bucket points into a uniform grid of size ``cell`` and resolve
+    every occupied cell's 3^d neighbourhood.
 
-    Returns ``None`` when the geometry cannot be gridded safely (cell
-    coordinates would overflow).  Coordinates are shifted to start at the
-    data minimum so cell ids are small non-negative integers.
+    Returns one ``(members, candidates)`` pair per occupied cell: the
+    cell's point indices and all point indices in the 3^d cells around
+    it, both ascending.  Each cell gets an int64 linear key over its
+    coordinates shifted by one (an empty margin cell on each side), so a
+    neighbour offset is a fixed key delta that never wraps and all
+    neighbours of all cells resolve with one ``searchsorted`` against the
+    sorted occupied keys.  Returns ``None`` when the geometry cannot be
+    gridded safely: a non-finite extent, or a key space that would
+    overflow int64.
     """
+    d = points.shape[1]
     mins = points.min(axis=0)
-    span = points.max(axis=0) - mins
-    if np.any(span / cell > _GRID_MAX_COORD):
+    with np.errstate(over="ignore", invalid="ignore"):
+        dims = np.floor((points.max(axis=0) - mins) / cell) + 3
+    if not np.all(np.isfinite(dims)) or float(np.prod(dims)) >= _GRID_MAX_KEY:
         return None
-    coords = np.floor((points - mins) / cell).astype(np.int64)
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    for i, key in enumerate(map(tuple, coords)):
-        buckets.setdefault(key, []).append(i)
-    return {k: np.asarray(v, dtype=np.intp) for k, v in buckets.items()}
-
-
-def _neighbor_candidates(
-    buckets: Dict[Tuple[int, ...], np.ndarray],
-    key: Tuple[int, ...],
-    offsets: List[Tuple[int, ...]],
-) -> np.ndarray:
-    """All point indices in the 3^d cells around ``key``, ascending."""
-    found = [
-        buckets[shifted]
-        for shifted in (tuple(k + o for k, o in zip(key, off)) for off in offsets)
-        if shifted in buckets
-    ]
-    cand = np.concatenate(found)
-    cand.sort()
-    return cand
+    strides = np.ones(d, dtype=np.int64)
+    for j in range(d - 2, -1, -1):
+        strides[j] = strides[j + 1] * int(dims[j + 1])
+    coords = np.floor((points - mins) / cell).astype(np.int64) + 1
+    keys = coords @ strides
+    order = np.argsort(keys, kind="stable")  # ascending indices per cell
+    cell_keys, starts, counts = np.unique(
+        keys[order], return_index=True, return_counts=True
+    )
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
+    deltas = offsets @ strides
+    m = cell_keys.size
+    cells: _Cells = []
+    step = max(1, _GRID_LOOKUP_CHUNK // deltas.size)
+    for lo in range(0, m, step):
+        near = cell_keys[lo : lo + step, None] + deltas[None, :]
+        found = np.searchsorted(cell_keys, near)
+        hit = cell_keys[np.minimum(found, m - 1)] == near
+        for row in range(near.shape[0]):
+            c = lo + row
+            members = order[starts[c] : starts[c] + counts[c]]
+            nb = found[row, hit[row]]
+            lens = counts[nb]
+            ends = np.cumsum(lens)
+            gather = np.arange(ends[-1]) + np.repeat(starts[nb] - (ends - lens), lens)
+            cand = order[gather]
+            cand.sort()
+            cells.append((members, cand))
+    return cells
 
 
 @dataclass
@@ -177,8 +197,8 @@ class DBSCAN:
             if self.index == "grid":
                 raise ClusteringError(
                     "grid index forced but the geometry cannot be gridded "
-                    "(cell coordinates would overflow); use index='auto' "
-                    "or 'blocked'"
+                    "(the linear cell key would overflow int64); use "
+                    "index='auto' or 'blocked'"
                 )
         self._last_index_used = "blocked"
         return self._neighborhoods_blocked(points)
@@ -213,18 +233,15 @@ class DBSCAN:
         few cells are occupied for the index to prune anything (the grid
         would still be correct there, just not faster).
         """
-        n, d = points.shape
-        buckets = _grid_buckets(points, self.eps)
-        if buckets is None:
+        cells = _grid_buckets(points, self.eps)
+        if cells is None:
             return None
-        if len(buckets) < _GRID_MIN_CELLS and not force:
+        if len(cells) < _GRID_MIN_CELLS and not force:
             return None
         sq_eps = self.eps * self.eps
         norms = np.einsum("ij,ij->i", points, points)
-        offsets = list(itertools.product((-1, 0, 1), repeat=d))
-        neighborhoods: List[Optional[np.ndarray]] = [None] * n
-        for key, idx in buckets.items():
-            cand = _neighbor_candidates(buckets, key, offsets)
+        neighborhoods: List[Optional[np.ndarray]] = [None] * points.shape[0]
+        for idx, cand in cells:
             cand_points = points[cand]
             cand_norms = norms[cand]
             for start in range(0, idx.size, self.block):
@@ -397,14 +414,12 @@ def _kdist_grid(
     cell = float(np.quantile(pilot, 0.98)) * 1.25
     if cell <= 0 or not np.isfinite(cell):
         return None
-    buckets = _grid_buckets(points, cell)
-    if buckets is None or len(buckets) < _GRID_MIN_CELLS:
+    cells = _grid_buckets(points, cell)
+    if cells is None or len(cells) < _GRID_MIN_CELLS:
         return None
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
     kdist = np.full(n, -1.0)
     block = 512
-    for key, idx in buckets.items():
-        cand = _neighbor_candidates(buckets, key, offsets)
+    for idx, cand in cells:
         if cand.size <= k:
             continue  # not enough candidates: exact fallback below
         cand_points = points[cand]

@@ -22,6 +22,7 @@ import platform
 import time
 from typing import Dict, List, Optional
 
+from repro import BLAS_THREAD_VARS
 from repro.observability.spans import Profile
 
 __all__ = ["LEDGER_FORMAT", "RunLedger", "host_info", "stage_table"]
@@ -31,12 +32,16 @@ LEDGER_FORMAT = "repro-telemetry/1"
 
 
 def host_info() -> Dict[str, object]:
-    """Where this run happened: node, platform, python, pid."""
+    """Where this run happened: node, platform, python, pid, and the
+    BLAS/OpenMP thread variables as set after ``import repro`` (``None``
+    for an unset one), so a level shift can be told apart from a
+    threading change."""
     return {
         "node": platform.node(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "pid": os.getpid(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
 
 

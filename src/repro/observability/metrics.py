@@ -52,16 +52,26 @@ def _bucket_quantile(
     max_: float,
     q: float,
 ) -> float:
-    """Quantile over a consistent histogram state copy (0 when empty)."""
+    """Quantile over a consistent histogram state copy (0 when empty).
+
+    Finds the bucket holding the ``q``-th ranked observation and
+    interpolates linearly inside it, between the bucket's bounds clamped
+    to the observed [min, max] (the Prometheus ``histogram_quantile``
+    estimate, made tighter by the known extremes).
+    """
     if not count:
         return 0.0
     target = q * count
     cumulative = 0
     for i, n in enumerate(bucket_counts):
+        if not n:
+            continue
+        if cumulative + n >= target:
+            lower = max(bounds[i - 1], min_) if i > 0 else min_
+            upper = min(bounds[i], max_) if i < len(bounds) else max_
+            value = lower + (upper - lower) * (target - cumulative) / n
+            return min(max(value, min_), max_)
         cumulative += n
-        if cumulative >= target:
-            upper = bounds[i] if i < len(bounds) else max_
-            return min(max(upper, min_), max_)
     return max_
 
 
@@ -187,9 +197,10 @@ class Histogram(_Lockable):
     def quantile(self, q: float) -> float:
         """Bucketed quantile estimate (0 when empty).
 
-        Returns the upper bound of the bucket holding the ``q``-th ranked
-        observation, clamped to the observed [min, max] — exact enough for
-        the latency tables (`p50`/`p95`) without storing raw samples.
+        Interpolates linearly inside the bucket holding the ``q``-th
+        ranked observation, clamped to the observed [min, max] — close
+        enough for the latency tables (`p50`/`p95`) without storing raw
+        samples.
         """
         if not 0.0 <= q <= 1.0:
             raise ReproError(f"histogram {self.name}: quantile {q} not in [0, 1]")

@@ -9,27 +9,48 @@ whose dictionary is missing or inconsistent must fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import TraceFormatError
 
 __all__ = ["EventDictionary"]
 
 
+def _first_names(ids: Dict[str, int]) -> Dict[int, str]:
+    """id -> name, keeping the first name in ``ids`` order on a duplicate id."""
+    names: Dict[int, str] = {}
+    for name, ident in ids.items():
+        names.setdefault(ident, name)
+    return names
+
+
 @dataclass
 class EventDictionary:
-    """Bidirectional id <-> name maps for counters and state kinds."""
+    """Bidirectional id <-> name maps for counters and state kinds.
+
+    The reverse (id -> name) maps are built on the first lookup and reset
+    when :meth:`counter_id`/:meth:`state_id` allocate, so extend the
+    forward maps through those methods (or :meth:`from_lines`), not by
+    assigning into ``counter_ids``/``state_ids`` after a lookup.
+    """
 
     counter_ids: Dict[str, int] = field(default_factory=dict)
     state_ids: Dict[str, int] = field(default_factory=dict)
     _next_counter_id: int = 42000000
     _next_state_id: int = 1
+    _counter_names: Optional[Dict[int, str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _state_names: Optional[Dict[int, str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def counter_id(self, name: str) -> int:
         """Id of counter ``name``, allocating on first use."""
         if name not in self.counter_ids:
             self.counter_ids[name] = self._next_counter_id
             self._next_counter_id += 1
+            self._counter_names = None
         return self.counter_ids[name]
 
     def state_id(self, name: str) -> int:
@@ -37,21 +58,28 @@ class EventDictionary:
         if name not in self.state_ids:
             self.state_ids[name] = self._next_state_id
             self._next_state_id += 1
+            self._state_names = None
         return self.state_ids[name]
 
     def counter_name(self, cid: int) -> str:
-        """Reverse lookup of a counter id."""
-        for name, known in self.counter_ids.items():
-            if known == cid:
-                return name
-        raise TraceFormatError(f"counter id {cid} not in event dictionary")
+        """Reverse lookup of a counter id (first name on a duplicate id)."""
+        if self._counter_names is None:
+            self._counter_names = _first_names(self.counter_ids)
+        try:
+            return self._counter_names[cid]
+        except KeyError:
+            raise TraceFormatError(
+                f"counter id {cid} not in event dictionary"
+            ) from None
 
     def state_name(self, sid: int) -> str:
-        """Reverse lookup of a state id."""
-        for name, known in self.state_ids.items():
-            if known == sid:
-                return name
-        raise TraceFormatError(f"state id {sid} not in event dictionary")
+        """Reverse lookup of a state id (first name on a duplicate id)."""
+        if self._state_names is None:
+            self._state_names = _first_names(self.state_ids)
+        try:
+            return self._state_names[sid]
+        except KeyError:
+            raise TraceFormatError(f"state id {sid} not in event dictionary") from None
 
     # ------------------------------------------------------------------
     # serialization

@@ -20,6 +20,7 @@ Two read policies (:class:`ReadPolicy`):
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -191,9 +192,9 @@ def _parse_counters(
         return {}
     counters: Dict[str, float] = {}
     for item in token.split(","):
-        if "=" not in item:
+        cid_text, sep, value_text = item.partition("=")
+        if not sep:
             _fail(lineno, f"malformed counter item {item!r}", "malformed-record")
-        cid_text, value_text = item.split("=", 1)
         try:
             cid = int(cid_text)
             value = float(value_text)
@@ -219,16 +220,29 @@ def _parse_counters(
 def _parse_frames(token: str, lineno: int) -> Tuple[Tuple[str, str, int], ...]:
     if token == "-":
         return ()
+    try:
+        return _frames(token)
+    except ValueError as exc:
+        _fail(lineno, str(exc), "malformed-record")
+
+
+@functools.lru_cache(maxsize=4096)
+def _frames(token: str) -> Tuple[Tuple[str, str, int], ...]:
+    """Frame triples of a call-stack token, or ``ValueError``.
+
+    Memoized: a trace repeats a handful of distinct stacks thousands of
+    times, and the triples are immutable, so records can share them.
+    """
     frames: List[Tuple[str, str, int]] = []
     for item in token.split("|"):
         parts = item.split("@")
         if len(parts) != 3:
-            _fail(lineno, f"malformed frame {item!r}", "malformed-record")
+            raise ValueError(f"malformed frame {item!r}")
         routine, path, line_text = parts
         try:
             line = int(line_text)
         except ValueError:
-            _fail(lineno, f"malformed frame line {item!r}", "malformed-record")
+            raise ValueError(f"malformed frame line {item!r}") from None
         frames.append((_unquote(routine), _unquote(path), line))
     return tuple(frames)
 

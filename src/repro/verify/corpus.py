@@ -30,10 +30,13 @@ __all__ = [
     "CloudCase",
     "BurstCase",
     "BoundaryCase",
+    "MonotoneCase",
     "pwl_datasets",
     "point_clouds",
     "grid_edge_cloud",
+    "grid_corner_cloud",
     "burst_clusters",
+    "monotone_sets",
     "boundary_sets",
     "random_models",
     "write_case_traces",
@@ -182,6 +185,20 @@ def grid_edge_cloud(seed: int, n: int = 400, eps: float = 0.25) -> CloudCase:
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 12, size=(n, 2)).astype(float) * eps
     return CloudCase("grid_edge", pts, eps, min_pts=6)
+
+
+def grid_corner_cloud(seed: int, d: int = 3, eps: float = 0.25) -> CloudCase:
+    """Points jittered by < eps/4 around grid-cell corners (multiples of
+    ``eps``, with an anchor at the origin fixing the cell origin), so
+    every corner's points fill the 2^d cells that meet there and, for
+    d <= 4, lie within ``eps`` of each other: neighbours sit in every one
+    of the 3^d offset directions.  For the grid-vs-blocked suite only."""
+    rng = np.random.default_rng(seed)
+    corners = rng.integers(1, 6, size=(40, d)).astype(float) * eps
+    pts = np.repeat(corners, 8, axis=0)
+    pts += rng.uniform(-0.24 * eps, 0.24 * eps, size=pts.shape)
+    pts = np.vstack([np.zeros((1, d)), pts])
+    return CloudCase(f"grid_corner{d}d", pts, eps, min_pts=4)
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +358,70 @@ def burst_clusters(seed: int, full: bool = False) -> List[BurstCase]:
             counters,
             min_points=10_000,
             expect_error=True,
+        )
+    )
+    return cases
+
+
+# ----------------------------------------------------------------------
+# folded samples for the per-instance monotonicity filter
+# ----------------------------------------------------------------------
+@dataclass
+class MonotoneCase:
+    name: str
+    y: np.ndarray
+    instance_ids: np.ndarray
+    tolerance: float = 1e-9
+
+
+def monotone_sets(seed: int, full: bool = False) -> List[MonotoneCase]:
+    """Interleaved per-instance accumulations with dips, plus ties at the
+    tolerance, non-finite ``y``, empty and one-instance inputs, and
+    instance ids that are neither sorted nor contiguous."""
+    rng = np.random.default_rng(seed)
+    cases: List[MonotoneCase] = []
+    for i in range(8 if full else 4):
+        n = int(rng.integers(50, 400))
+        ids = rng.integers(0, int(rng.integers(1, 30)), size=n)
+        y = np.cumsum(rng.uniform(0.0, 0.01, size=n))
+        dips = rng.random(n) < 0.2
+        y[dips] -= rng.uniform(0.0, 0.05, size=int(dips.sum()))
+        tolerance = float(rng.choice([0.0, 1e-9, 0.01]))
+        cases.append(MonotoneCase(f"random{i}", y, ids, tolerance))
+    tol = 0.125  # exact in binary, so "exactly tol below" is exact
+    cases.append(
+        MonotoneCase(
+            "ties",
+            np.array([0.5, 0.375, 0.5 - tol / 2, 0.375 - 1e-12, 0.5, 0.5, 0.25]),
+            np.zeros(7, dtype=np.int64),
+            tol,
+        )
+    )
+    cases.append(
+        MonotoneCase(
+            "non_finite",
+            np.array(
+                [np.nan, 0.2, np.nan, 0.1, np.inf, 0.9, np.inf, -np.inf, np.nan, 0.3]
+            ),
+            np.array([3, 3, 3, 3, 3, 1, 1, 1, 7, 7]),
+        )
+    )
+    cases.append(
+        MonotoneCase(
+            "neg_inf_start",
+            np.array([-np.inf, -np.inf, 0.0, -np.inf, 1.0]),
+            np.zeros(5, dtype=np.int64),
+        )
+    )
+    cases.append(MonotoneCase("empty", np.zeros(0), np.zeros(0, dtype=np.int64)))
+    one = np.cumsum(rng.normal(0.01, 0.02, size=200))
+    cases.append(MonotoneCase("one_instance", one, np.full(200, 5, dtype=np.int64)))
+    shuffled = rng.permutation(np.repeat(np.array([9, -2, 40, 0, 17]), 30))
+    cases.append(
+        MonotoneCase(
+            "unsorted_ids",
+            np.cumsum(rng.normal(0.01, 0.02, size=shuffled.size)),
+            shuffled,
         )
     )
     return cases

@@ -8,10 +8,10 @@ disagreement beyond the suite's documented tolerance as a structured
 :class:`Divergence` carrying the stage, seed, max abs/ulp delta, and
 the exact command that replays it.
 
-Bit-exact suites (tolerance zero): fold arrays, DBSCAN labels (both
-grid-vs-blocked and vs the scalar oracle on fp-safe corpora), predict/
-slope_at, BIC/AIC, boundary matching, parallel-vs-serial, cached, and
-resumed results.  Tolerance suites (different algorithms for the same
+Bit-exact suites (tolerance zero): fold arrays, monotonicity-filter
+keep masks, DBSCAN labels (both grid-vs-blocked and vs the scalar
+oracle on fp-safe corpora), predict/slope_at, BIC/AIC, boundary
+matching, parallel-vs-serial, cached, and resumed results.  Tolerance suites (different algorithms for the same
 math): least-squares coefficients, eps estimation, and the fold's mean
 statistics — each tolerance is justified in ``docs/VERIFICATION.md``.
 """
@@ -352,6 +352,46 @@ def _suite_fold(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     return len(cases), out
 
 
+@_suite("filter")
+def _suite_filter(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
+    """Vectorized per-instance monotonicity filter vs the scalar scan —
+    identical keep masks and filter reports (bit-exact: both sides make
+    the same comparisons against the same running maxima)."""
+    from repro.folding.filtering import FilterReport, enforce_instance_monotonicity
+    from repro.folding.fold import FoldedCounter
+    from repro.verify.corpus import monotone_sets
+    from repro.verify.oracles import oracle_instance_monotonicity
+
+    out: List[Divergence] = []
+    cases = monotone_sets(ctx.seed, ctx.full)
+    for case in cases:
+        n = case.y.size
+        # x = position, so the kept x values are exactly the kept mask.
+        folded = FoldedCounter(
+            counter="c", x=np.arange(n, dtype=float), y=case.y,
+            instance_ids=case.instance_ids, n_instances=1,
+            mean_duration=1.0, mean_total=1.0,
+        )
+        kept, report = enforce_instance_monotonicity(folded, case.tolerance)
+        keep = np.asarray(
+            oracle_instance_monotonicity(
+                case.y.tolist(), case.instance_ids.tolist(), case.tolerance
+            ),
+            dtype=bool,
+        )
+        got_mask = np.zeros(n, dtype=bool)
+        got_mask[kept.x.astype(np.intp)] = True
+        want_report = FilterReport("instance_monotonicity", n, int(np.sum(~keep)))
+        d = _compare_arrays(
+            "filter", case.name, ctx.seed, "keep mask", got_mask, keep
+        ) or _compare_exact(
+            "filter", case.name, ctx.seed, "report", report, want_report
+        )
+        if d:
+            out.append(d)
+    return len(cases), out
+
+
 @_suite("pwlr_lstsq")
 def _suite_pwlr_lstsq(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     """fit_fixed_breakpoints (lstsq / scipy nnls) vs normal equations +
@@ -550,13 +590,19 @@ def _suite_match(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
 
 @_suite("dbscan_backends")
 def _suite_dbscan_backends(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
-    """Grid vs blocked neighborhood backends — byte-identical labels,
-    including the cell-edge geometry where distances equal eps exactly."""
+    """Grid vs blocked neighborhood backends — byte-identical labels and
+    neighbourhoods, including the cell-edge geometry where distances
+    equal eps exactly and cell-corner geometries with neighbours in
+    every offset cell (labels alone can hide one missing offset)."""
     from repro.clustering.dbscan import DBSCAN
-    from repro.verify.corpus import grid_edge_cloud, point_clouds
+    from repro.verify.corpus import grid_corner_cloud, grid_edge_cloud, point_clouds
 
     out: List[Divergence] = []
-    cases = point_clouds(ctx.seed, ctx.full) + [grid_edge_cloud(ctx.seed)]
+    cases = point_clouds(ctx.seed, ctx.full) + [
+        grid_edge_cloud(ctx.seed),
+        grid_corner_cloud(ctx.seed, d=2),
+        grid_corner_cloud(ctx.seed, d=3),
+    ]
     for case in cases:
         grid = DBSCAN(case.eps, min_pts=case.min_pts, index="grid").fit(case.points)
         blocked = DBSCAN(case.eps, min_pts=case.min_pts, index="blocked").fit(case.points)
@@ -566,6 +612,21 @@ def _suite_dbscan_backends(ctx: SelftestContext) -> Tuple[int, List[Divergence]]
         )
         if d:
             out.append(d)
+            continue
+        clusterer = DBSCAN(case.eps, min_pts=case.min_pts)
+        got = clusterer._neighborhoods_grid(case.points, force=True)
+        want = clusterer._neighborhoods_blocked(case.points)
+        mismatched = [
+            i for i, (a, b) in enumerate(zip(got, want)) if not np.array_equal(a, b)
+        ]
+        if mismatched:
+            out.append(
+                Divergence(
+                    "dbscan_backends", case.name, ctx.seed,
+                    f"neighbourhoods of {len(mismatched)} points differ "
+                    f"(first: point {mismatched[0]})",
+                )
+            )
     return len(cases), out
 
 

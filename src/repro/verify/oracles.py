@@ -29,6 +29,7 @@ from repro.errors import VerificationError
 __all__ = [
     "OracleFold",
     "oracle_fold_cluster",
+    "oracle_instance_monotonicity",
     "oracle_fit_fixed_breakpoints",
     "oracle_predict",
     "oracle_slope_at",
@@ -136,6 +137,29 @@ def oracle_fold_cluster(
             mean_total=sum(totals) / len(totals),
         )
     return folded, drops
+
+
+def oracle_instance_monotonicity(
+    y: Sequence[float], instance_ids: Sequence[int], tolerance: float = 1e-9
+) -> List[bool]:
+    """Keep mask of the per-instance monotonicity filter, one scan per
+    instance: samples in array (``x``) order against a running maximum
+    of the kept ``y``; a sample more than ``tolerance`` below it is
+    dropped.  ``max`` leaves the running value alone for a NaN ``y``
+    (``nan > running`` is false), and a NaN is never below it, so NaN
+    samples are kept and ignored."""
+    keep = [True] * len(y)
+    for instance in sorted(set(instance_ids)):
+        running = -math.inf
+        for pos, owner in enumerate(instance_ids):
+            if owner != instance:
+                continue
+            value = y[pos]
+            if value < running - tolerance:
+                keep[pos] = False
+            else:
+                running = max(running, value)
+    return keep
 
 
 # ----------------------------------------------------------------------

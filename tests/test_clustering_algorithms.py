@@ -198,6 +198,88 @@ class TestGridIndex:
         assert eps_grid == pytest.approx(eps_exact, rel=1e-9)
 
 
+def _pipeline_like_features(seed, n=3000, d=6):
+    """Standardized 6-column features: a few dense burst clusters with
+    per-column spread, a sparse noise floor, and exact duplicates."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.5, size=(5, d))
+    parts = [c + rng.normal(0.0, 0.04, size=(n // 6, d)) for c in centers]
+    parts.append(rng.uniform(-3.0, 3.0, size=(n - 5 * (n // 6) - 40, d)))
+    parts.append(np.repeat(centers[:2], 20, axis=0))
+    points = np.vstack(parts)
+    return (points - points.mean(axis=0)) / points.std(axis=0)
+
+
+class TestGridLookup:
+    """The vectorized cell-neighbour lookup behind both grid paths."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_neighborhoods_equal_blocked_on_six_columns(self, seed):
+        points = _pipeline_like_features(seed)
+        for eps in (0.05, 0.2):
+            clusterer = DBSCAN(eps=eps, min_pts=8)
+            grid = clusterer._neighborhoods_grid(points)
+            assert grid is not None
+            blocked = clusterer._neighborhoods_blocked(points)
+            assert len(grid) == len(blocked)
+            for a, b in zip(grid, blocked):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kdists_equal_blocked_on_six_columns(self, seed):
+        from repro.clustering.dbscan import _kdist_grid, _kdist_rows
+
+        points = _pipeline_like_features(seed)
+        norms = np.einsum("ij,ij->i", points, points)
+        grid = _kdist_grid(points, norms, 8)
+        assert grid is not None
+        exact = _kdist_rows(points, norms, 8, np.arange(len(points), dtype=np.intp))
+        # same formula; only the matmul shapes differ (last-ulp effects)
+        np.testing.assert_allclose(grid, exact, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_neighbours_in_every_offset_cell(self, d):
+        from repro.verify.corpus import grid_corner_cloud
+
+        case = grid_corner_cloud(seed=d, d=d)
+        clusterer = DBSCAN(eps=case.eps, min_pts=case.min_pts)
+        grid = clusterer._neighborhoods_grid(case.points, force=True)
+        blocked = clusterer._neighborhoods_blocked(case.points)
+        for a, b in zip(grid, blocked):
+            assert a.tobytes() == b.tobytes()
+
+    def _overflowing(self):
+        # 6 columns spanning ~3000 cells each: every coordinate is small,
+        # but the linear cell key needs ~3000^6 > 2^62 slots.
+        rng = np.random.default_rng(21)
+        corners = rng.integers(0, 2, size=(6, 6)) * 3000.0
+        points = np.vstack([c + rng.normal(0.0, 0.1, size=(60, 6)) for c in corners])
+        return points, 1.0
+
+    def test_key_overflow_falls_back_to_blocked(self):
+        from repro.clustering.dbscan import _grid_buckets
+
+        points, eps = self._overflowing()
+        assert _grid_buckets(points, eps) is None
+        auto = DBSCAN(eps=eps, min_pts=5)
+        labels = auto.fit(points).labels
+        assert auto._last_index_used == "blocked"
+        blocked = DBSCAN(eps=eps, min_pts=5, index="blocked").fit(points).labels
+        assert labels.tobytes() == blocked.tobytes()
+        assert len(set(labels.tolist()) - {NOISE}) >= 2
+
+    def test_key_overflow_forced_grid_raises(self):
+        points, eps = self._overflowing()
+        with pytest.raises(ClusteringError, match="overflow"):
+            DBSCAN(eps=eps, min_pts=5, index="grid").fit(points)
+
+    def test_non_finite_extent_is_not_gridded(self):
+        from repro.clustering.dbscan import _grid_buckets
+
+        points = np.array([[0.0, 0.0], [1e308, -1e308]])
+        assert _grid_buckets(points, 1e-300) is None
+
+
 class TestRefinement:
     def test_multi_density_split(self):
         rng = np.random.default_rng(6)

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clustering.bursts import extract_bursts
 from repro.errors import FoldingError
 from repro.folding.callstack import fold_callstacks
-from repro.folding.filtering import clip_to_unit_range, enforce_instance_monotonicity
+from repro.folding.filtering import (
+    FilterReport,
+    clip_to_unit_range,
+    enforce_instance_monotonicity,
+)
 from repro.folding.fold import FoldedCounter, fold_cluster
 from repro.folding.instances import select_instances
 from repro.folding.reconstruct import Reconstruction
@@ -328,6 +333,80 @@ class TestFilters:
         _, report = clip_to_unit_range(folded)
         assert report.n_after == 1
         assert report.drop_fraction == 0.0
+
+
+def _monotone_vs_oracle(y, ids, tolerance):
+    """Run the vectorized filter and the scalar oracle on the same input;
+    return ``(got_mask, got_report, want_mask, want_report)``."""
+    from repro.verify.oracles import oracle_instance_monotonicity
+
+    y = np.asarray(y, dtype=float)
+    ids = np.asarray(ids, dtype=np.int64)
+    folded = FoldedCounter(
+        counter="c", x=np.arange(y.size, dtype=float), y=y, instance_ids=ids,
+        n_instances=1, mean_duration=1.0, mean_total=1.0,
+    )
+    kept, report = enforce_instance_monotonicity(folded, tolerance)
+    got = np.zeros(y.size, dtype=bool)
+    got[kept.x.astype(np.intp)] = True
+    want = np.array(
+        oracle_instance_monotonicity(y.tolist(), ids.tolist(), tolerance), dtype=bool
+    )
+    want_report = FilterReport("instance_monotonicity", y.size, int(np.sum(~want)))
+    return got, report, want, want_report
+
+
+_y_values = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, np.nan, np.inf, -np.inf]),
+)
+
+
+class TestMonotonicityMatchesOracle:
+    """The vectorized filter keeps exactly what the scalar scan keeps."""
+
+    @given(
+        st.lists(st.tuples(_y_values, st.integers(-3, 6)), max_size=60),
+        st.sampled_from([0.0, 1e-9, 0.25, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_identical_masks_and_reports(self, pairs, tolerance):
+        y = [p[0] for p in pairs]
+        ids = [p[1] for p in pairs]
+        got, report, want, want_report = _monotone_vs_oracle(y, ids, tolerance)
+        assert got.tolist() == want.tolist()
+        assert report == want_report
+
+    @pytest.mark.parametrize(
+        "y, ids, tolerance, kept",
+        [
+            # a dip of exactly ``tolerance`` stays; one a hair deeper goes
+            ([0.5, 0.25, 0.25 - 1e-12, 0.5], [0, 0, 0, 0], 0.25, [1, 1, 0, 1]),
+            # NaN is kept and never raises the running max; +inf raises it
+            ([np.nan, 0.2, np.nan, 0.1, np.inf, 0.9, np.inf],
+             [1, 1, 1, 1, 1, 1, 1], 1e-9, [1, 1, 1, 0, 1, 0, 1]),
+            # -inf never drops anything below it
+            ([-np.inf, -np.inf, 0.0, -np.inf], [2, 2, 2, 2], 0.0, [1, 1, 1, 0]),
+            ([], [], 1e-9, []),
+            ([0.3], [7], 1e-9, [1]),
+            # unsorted, non-contiguous instance ids interleaved in x order
+            ([0.5, 0.9, 0.4, 0.8, 0.6, 0.1], [9, -2, 9, -2, 9, 40], 1e-9,
+             [1, 1, 0, 0, 1, 1]),
+        ],
+        ids=["ties", "nan_inf", "neg_inf", "empty", "one", "unsorted_ids"],
+    )
+    def test_edge_cases(self, y, ids, tolerance, kept):
+        got, report, want, want_report = _monotone_vs_oracle(y, ids, tolerance)
+        assert want.tolist() == [bool(k) for k in kept]
+        assert got.tolist() == want.tolist()
+        assert report == want_report
+
+    def test_one_long_instance(self):
+        rng = np.random.default_rng(4)
+        y = np.cumsum(rng.normal(0.01, 0.02, size=2000))
+        got, report, want, want_report = _monotone_vs_oracle(y, np.zeros(2000), 1e-9)
+        assert report.n_dropped > 0
+        assert got.tolist() == want.tolist() and report == want_report
 
 
 class TestFoldCallstacks:

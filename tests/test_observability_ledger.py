@@ -91,8 +91,11 @@ class TestRecordSchema:
 
     def test_host_info_shape(self):
         info = host_info()
-        assert set(info) == {"node", "platform", "python", "pid"}
+        assert set(info) == {"node", "platform", "python", "pid", "blas_threads"}
         assert isinstance(info["pid"], int)
+        assert set(info["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        }
 
 
 class TestStageTable:

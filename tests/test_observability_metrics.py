@@ -119,6 +119,58 @@ class TestSnapshot:
         assert len(reg) == 1
 
 
+class TestHistogramQuantile:
+    """Bucketed quantiles interpolate inside the bucket, within [min, max]."""
+
+    FITS = (0.38, 0.52, 0.61, 0.77, 1.05, 1.29)  # seconds, default buckets
+
+    def _fits(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("fit_s")
+        for v in self.FITS:
+            hist.observe(v)
+        return reg, hist
+
+    def test_p50_is_not_the_bucket_bound(self):
+        # Regression: six fits between 0.38 s and 1.29 s used to report
+        # p50 = 1 (the upper bound of the (0.1, 1] bucket).
+        _reg, hist = self._fits()
+        # rank 3 of 4 in (0.1, 1] clamped to [0.38, 1.0]: 0.38 + 0.62 * 3/4
+        assert hist.quantile(0.5) == pytest.approx(0.845)
+        assert min(self.FITS) < hist.quantile(0.5) < 1.0
+        # rank 5.7 falls in the (1, 10] bucket clamped to [1.0, 1.29]
+        assert hist.quantile(0.95) == pytest.approx(1.0 + 0.29 * 1.7 / 2)
+
+    def test_extremes_and_monotone(self):
+        _reg, hist = self._fits()
+        assert hist.quantile(0.0) == min(self.FITS)
+        assert hist.quantile(1.0) == max(self.FITS)
+        qs = [hist.quantile(q / 20) for q in range(21)]
+        assert qs == sorted(qs)
+        assert all(min(self.FITS) <= v <= max(self.FITS) for v in qs)
+
+    def test_single_observation_and_empty(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("one")
+        assert hist.quantile(0.5) == 0.0
+        hist.observe(0.3)
+        assert hist.quantile(0.5) == 0.3
+        assert hist.quantile(0.99) == 0.3
+
+    def test_snapshot_uses_interpolated_quantiles(self):
+        reg, hist = self._fits()
+        snap = reg.snapshot()
+        assert snap["fit_s.p50"] == hist.quantile(0.5)
+        assert snap["fit_s.p99"] <= max(self.FITS)
+
+    def test_openmetrics_still_valid(self):
+        from repro.observability import render_openmetrics, validate_openmetrics
+
+        reg, _hist = self._fits()
+        families = validate_openmetrics(render_openmetrics(reg))
+        assert any("fit_s" in name for name in families)
+
+
 class TestNullRegistry:
     def test_shared_noop_instruments(self):
         reg = NullMetricsRegistry()

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TraceFormatError
 from repro.trace.merge import merge_traces
 from repro.trace.pcf import EventDictionary
-from repro.trace.reader import load_trace_text, read_trace
+from repro.trace.reader import load_trace_text, read_trace, salvage_trace_text
 from repro.trace.records import (
     InstrumentationRecord,
     SampleRecord,
@@ -110,6 +110,104 @@ class TestEventDictionary:
             EventDictionary.from_lines(["[counters]", "notanint name"])
         with pytest.raises(TraceFormatError):
             EventDictionary.from_lines(["5 orphan"])
+
+
+def _first_match(ids, ident):
+    """The linear reverse scan the O(1) maps replace."""
+    for name, known in ids.items():
+        if known == ident:
+            return name
+    return None
+
+
+class TestEventDictionaryReverseMaps:
+    """Reverse lookups are dict lookups but keep first-match semantics."""
+
+    DICT = [
+        "[counters]",
+        "42000000 PAPI_A",
+        "42000001 PAPI_B",
+        "42000000 PAPI_DUP",  # duplicate id: PAPI_A still wins
+        "42000005 PAPI_B",  # PAPI_B redefined: 42000001 becomes unknown
+        "[states]",
+        "1 compute",
+        "1 shadow",
+        "2 comm",
+    ]
+
+    def _assert_matches_scan(self, d):
+        for ident in set(d.counter_ids.values()) | {42000001, 7}:
+            want = _first_match(d.counter_ids, ident)
+            if want is None:
+                with pytest.raises(TraceFormatError, match="not in event dictionary"):
+                    d.counter_name(ident)
+            else:
+                assert d.counter_name(ident) == want
+        for ident in set(d.state_ids.values()) | {99}:
+            want = _first_match(d.state_ids, ident)
+            if want is None:
+                with pytest.raises(TraceFormatError):
+                    d.state_name(ident)
+            else:
+                assert d.state_name(ident) == want
+
+    def test_duplicate_ids_and_redefinition(self):
+        d = EventDictionary.from_lines(self.DICT)
+        assert d.counter_name(42000000) == "PAPI_A"
+        assert d.counter_name(42000005) == "PAPI_B"
+        assert d.state_name(1) == "compute"
+        self._assert_matches_scan(d)
+
+    def test_allocation_after_lookup_is_visible(self):
+        d = EventDictionary.from_lines(self.DICT)
+        assert d.counter_name(42000000) == "PAPI_A"
+        fresh = d.counter_id("PAPI_NEW")
+        assert d.counter_name(fresh) == "PAPI_NEW"
+        sid = d.state_id("idle")
+        assert d.state_name(sid) == "idle"
+        self._assert_matches_scan(d)
+
+    def test_reverse_maps_do_not_affect_equality(self):
+        a = EventDictionary.from_lines(self.DICT)
+        b = EventDictionary.from_lines(self.DICT)
+        a.counter_name(42000000)
+        assert a == b
+
+    def _trace_text(self, dict_lines, records):
+        return "\n".join(
+            ["#REPRO-TRACE v1", "app t", "ranks 1", "[dict]", *dict_lines,
+             "[records]", *records]
+        ) + "\n"
+
+    def test_salvage_dictionary_path(self):
+        # A malformed dictionary line is dropped; the rest (duplicate id
+        # and redefinition included) resolves exactly as the scan would.
+        text = self._trace_text(
+            self.DICT[:3] + ["garbage"] + self.DICT[3:],
+            [
+                "P 0 0.5 42000000=1.0,42000005=2.0 -",
+                "P 0 0.6 42000001=3.0 -",
+                "S 0 0.0 1.0 1 -",
+            ],
+        )
+        trace, report = salvage_trace_text(text)
+        d = EventDictionary.from_lines(self.DICT)
+        assert [dict(s.counters) for s in trace.samples] == [
+            {_first_match(d.counter_ids, 42000000): 1.0,
+             _first_match(d.counter_ids, 42000005): 2.0}
+        ]
+        assert [s.kind.value for s in trace.states] == ["compute"]
+        assert report.reasons == {"dictionary": 1, "unknown-id": 1}
+
+    def test_unknown_id_strict_raises_with_reason(self):
+        text = self._trace_text(self.DICT, ["P 0 0.6 42000001=3.0 -"])
+        with pytest.raises(TraceFormatError, match="not in event dictionary") as info:
+            load_trace_text(text)
+        assert info.value.reason == "unknown-id"
+        text = self._trace_text(self.DICT, ["S 0 0.0 1.0 9 -"])
+        with pytest.raises(TraceFormatError) as info:
+            load_trace_text(text)
+        assert info.value.reason == "unknown-id"
 
 
 class TestRoundTrip:

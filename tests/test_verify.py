@@ -20,7 +20,7 @@ from repro.errors import VerificationError
 from repro.verify import available_suites, run_selftest
 from repro.verify.differential import Divergence, _compare_arrays
 
-FAST_SUITES = ["bic", "match", "predict", "eps"]
+FAST_SUITES = ["bic", "match", "predict", "eps", "filter"]
 
 
 class TestRunner:
@@ -40,6 +40,7 @@ class TestRunner:
         # the oracle equivalence suites the issue mandates
         for required in (
             "fold",
+            "filter",
             "pwlr_lstsq",
             "predict",
             "bic",
