@@ -17,12 +17,13 @@ Correctness is asserted, not assumed: labels must be byte-identical and
 folded arrays bit-for-bit equal.  ``--smoke`` runs a small configuration
 with strict identity checks and lenient timing floors, suitable for CI.
 
-Third section — **pwlr-kernel**: the moments search kernel
-(``search_kernel="moments"``) against the exact dense evaluator on the
-same series, across sample counts at the default configuration.  The
-kernels must select bit-identical models with identical
-``pwlr.candidate_evaluations``; the smoke gate requires >=5x wall-time
-reduction at n=5000.
+Third section — **pwlr-kernel**: ``fit_pwlr`` (grid candidates ranked
+from prefix moments) against the same search with the grid ranked by the
+dense per-candidate least squares of
+``repro.verify.oracles.oracle_grid_sse``, on the same series, across
+sample counts at the default configuration.  Both must select
+bit-identical models with identical candidate evaluation counts; the
+smoke gate requires >=5x wall-time reduction at n=5000.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def print_fast_path(report: Dict[str, float]) -> None:
 
 
 # ----------------------------------------------------------------------
-# pwlr-kernel: moments search kernel vs the exact dense evaluator
+# pwlr-kernel: moments-ranked search vs the dense oracle ranking
 # ----------------------------------------------------------------------
 
 def _pwlr_series(n_points: int, seed: int = 29):
@@ -312,66 +313,63 @@ def _pwlr_series(n_points: int, seed: int = 29):
     return x, y
 
 
-def _timed_fit(x: np.ndarray, y: np.ndarray, kernel: str):
-    from repro.fitting.pwlr import PWLRConfig, fit_pwlr
+def pwlr_kernel_report(n_points: int) -> Dict[str, float]:
+    """Time one default-config ``fit_pwlr`` and the same search ranked by
+    the dense oracle on the same series, asserting bit-identical models
+    and identical candidate evaluation counts."""
+    from repro.fitting.pwlr import PWLRConfig, _fit_pwlr_impl, fit_pwlr
     from repro.observability import Observability
+    from repro.verify.oracles import oracle_grid_sse
 
-    cfg = PWLRConfig(search_kernel=kernel)
+    x, y = _pwlr_series(n_points)
+    cfg = PWLRConfig()
     obs = Observability(collect_rss=False)
     with obs.activate():
         t0 = time.perf_counter()
-        model = fit_pwlr(x, y, cfg)
-        wall = time.perf_counter() - t0
-    return model, wall, obs.metrics.snapshot()
+        model_m = fit_pwlr(x, y, cfg)
+        wall_m = time.perf_counter() - t0
+    evals_m = obs.metrics.snapshot()["pwlr.candidate_evaluations"]
 
+    def dense(configs):
+        return oracle_grid_sse(
+            x, y, configs, anchor=cfg.anchor, anchor_weight=cfg.anchor_weight
+        )
 
-def pwlr_kernel_report(n_points: int) -> Dict[str, float]:
-    """Time one default-config ``fit_pwlr`` under both kernels on the
-    same series, asserting bit-identical models and identical candidate
-    evaluation counts.  Returns timings + counter-derived rates."""
-    x, y = _pwlr_series(n_points)
-    model_m, wall_m, snap_m = _timed_fit(x, y, "moments")
-    model_e, wall_e, snap_e = _timed_fit(x, y, "exact")
+    t0 = time.perf_counter()
+    model_d, scorer_d = _fit_pwlr_impl(x, y, cfg, grid_scorer=dense)
+    wall_d = time.perf_counter() - t0
 
-    assert model_m.breakpoints.tobytes() == model_e.breakpoints.tobytes(), (
-        "kernels selected different breakpoints"
+    assert model_m.breakpoints.tobytes() == model_d.breakpoints.tobytes(), (
+        "moments and dense ranking selected different breakpoints"
     )
     assert (
-        model_m.slopes.tobytes() == model_e.slopes.tobytes()
-        and model_m.intercept == model_e.intercept
-        and model_m.sse == model_e.sse
-    ), "kernels produced different final models"
-    evals_m = snap_m["pwlr.candidate_evaluations"]
-    evals_e = snap_e["pwlr.candidate_evaluations"]
-    assert evals_m == evals_e, (
-        f"candidate evaluations differ between kernels: {evals_m} vs {evals_e}"
+        model_m.slopes.tobytes() == model_d.slopes.tobytes()
+        and model_m.intercept == model_d.intercept
+        and model_m.sse == model_d.sse
+    ), "moments and dense ranking produced different final models"
+    assert evals_m == scorer_d.n_evals, (
+        f"candidate evaluations differ: {evals_m} vs {scorer_d.n_evals}"
     )
 
     return {
         "n_points": float(n_points),
         "n_breakpoints": float(model_m.breakpoints.size),
         "moments_s": wall_m,
-        "exact_s": wall_e,
-        "speedup": wall_e / max(wall_m, 1e-12),
+        "dense_s": wall_d,
+        "speedup": wall_d / max(wall_m, 1e-12),
         "evals": float(evals_m),
         "moments_evals_per_s": evals_m / max(wall_m, 1e-12),
-        "exact_evals_per_s": evals_e / max(wall_e, 1e-12),
-        "cache_hit_rate": snap_m["pwlr.search_cache_hits"] / max(evals_m, 1),
     }
 
 
 def print_pwlr_kernel(reports: List[Dict[str, float]]) -> None:
-    print("pwlr-kernel: moments vs exact search (default PWLRConfig):")
-    print(
-        "  n        exact       moments     speedup   evals   "
-        "evals/s (moments)   cache-hit"
-    )
+    print("pwlr-kernel: moments vs dense oracle ranking (default PWLRConfig):")
+    print("  n        dense       moments     speedup   evals   evals/s (moments)")
     for r in reports:
         print(
-            f"  {int(r['n_points']):<7}  {r['exact_s']:>7.2f}s  "
+            f"  {int(r['n_points']):<7}  {r['dense_s']:>7.2f}s  "
             f"{r['moments_s']:>8.3f}s  {r['speedup']:>7.1f}x  "
-            f"{int(r['evals']):>5}  {r['moments_evals_per_s']:>12.0f}        "
-            f"{r['cache_hit_rate']:>6.1%}"
+            f"{int(r['evals']):>5}  {r['moments_evals_per_s']:>12.0f}"
         )
     print("  models bit-identical, candidate evaluations equal: verified")
 
@@ -396,7 +394,7 @@ def smoke() -> None:
     kernel = pwlr_kernel_report(PWLR_KERNEL_SMOKE_POINTS)
     print_pwlr_kernel([kernel])
     assert kernel["speedup"] >= PWLR_KERNEL_SMOKE_FLOOR, (
-        f"moments kernel speedup below the {PWLR_KERNEL_SMOKE_FLOOR:.0f}x "
+        f"moments ranking speedup below the {PWLR_KERNEL_SMOKE_FLOOR:.0f}x "
         f"floor at n={PWLR_KERNEL_SMOKE_POINTS}: {kernel['speedup']:.2f}x"
     )
     print("TAB-7 smoke: PASS")
@@ -445,7 +443,7 @@ def main() -> None:
     print("--- analysis-pipeline fast path ---")
     print_fast_path(fast_path_report(FAST_PATH_BURSTS))
     print()
-    print("--- pwlr search kernel ---")
+    print("--- pwlr search ranking ---")
     print_pwlr_kernel([pwlr_kernel_report(n) for n in PWLR_KERNEL_POINTS])
 
 

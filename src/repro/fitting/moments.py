@@ -16,7 +16,9 @@ ascending are computed **once** per series; any candidate configuration
 then assembles its ``(k+2) x (k+2)`` Gram matrix from O(k) prefix
 lookups and solves a tiny system: O(k^3) per candidate, independent of
 ``n``.  Whole candidate batches are assembled and solved in one
-vectorized pass (see :meth:`MomentProfile.evaluate_many`).
+vectorized pass (see :meth:`MomentProfile.evaluate_many`), and a
+one-breakpoint move re-derives only the two segments it touches (see
+:meth:`MomentProfile.probe`).
 
 Closed forms (segment ``j`` with bounds ``lo < hi``, length ``L``):
 ``B_j`` is 0 below ``lo``, ``x - lo`` on ``[lo, hi)`` and ``L`` from
@@ -39,14 +41,15 @@ quadratic form ``Syy - 2 c.b + c.G c``.  That expression suffers
 catastrophic cancellation when the fit is nearly interpolating, so
 results with ``sse <= sse_floor`` (a small multiple of ``Syy``) or a
 failed/non-finite solve are flagged not-OK: the caller re-evaluates
-those few configurations with the exact dense path.  This keeps the
-moments kernel a pure *ranking* device — wherever its precision could
-bend a comparison, the exact evaluator decides.
+those few configurations with the exact dense path, so wherever the
+profile's precision could bend a comparison, the exact evaluator
+decides.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import functools
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +68,17 @@ _SSE_REL_FLOOR = 1e-9
 #: Absolute floor so an identically-zero series (``Syy == 0``) also
 #: escapes to the exact path instead of ranking on pure noise.
 _SSE_ABS_FLOOR = 1e-300
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_index(n_seg: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the slope block: ``min(j, l)`` and ``max(j, l)``
+    per entry, and the Gram positions of its diagonal."""
+    seg = np.arange(n_seg)
+    out = (np.minimum.outer(seg, seg), np.maximum.outer(seg, seg), seg + 1)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def _prefix(values: np.ndarray) -> np.ndarray:
@@ -120,11 +134,15 @@ class MomentProfile:
         self.n = int(x.size)
         self.x = x
         wx = w * x
-        self._p0 = _prefix(w)
-        self._p1 = _prefix(wx)
-        self._p2 = _prefix(wx * x)
-        self._py = _prefix(w * y)
-        self._pxy = _prefix(wx * y)
+        # Columns: sum(w), sum(w x), sum(w x^2), sum(w y), sum(w x y);
+        # one row per prefix length, so a segment's five sums are one
+        # row difference.
+        self._prefix = np.stack(
+            [_prefix(w), _prefix(wx), _prefix(wx * x), _prefix(w * y), _prefix(wx * y)],
+            axis=1,
+        )
+        self._total_w = float(self._prefix[-1, 0])
+        self._total_wy = float(self._prefix[-1, 3])
         self.syy = float(np.dot(w * y, y))
         self.anchor_w = float(anchor_weight) * self.n if anchor else 0.0
         self.sse_floor = _SSE_REL_FLOOR * abs(self.syy) + _SSE_ABS_FLOOR
@@ -149,55 +167,103 @@ class MomentProfile:
         if bp.ndim == 1:
             bp = bp.reshape(1, -1)
         n_configs, m = bp.shape
-        n_seg = m + 1
-
         knots = np.empty((n_configs, m + 2), dtype=float)
         knots[:, 0] = 0.0
         knots[:, -1] = 1.0
         if m:
             knots[:, 1:-1] = bp
+        return self._solve_columns(*self._columns(knots))
+
+    def evaluate_one(self, breakpoints) -> Tuple[np.ndarray, float, bool]:
+        """Single-configuration convenience wrapper over
+        :meth:`evaluate_many`."""
+        bp = np.asarray(list(breakpoints), dtype=float).reshape(1, -1)
+        coeffs, sse, ok = self.evaluate_many(bp)
+        return coeffs[0], float(sse[0]), bool(ok[0])
+
+    def probe(
+        self, breakpoints: Sequence[float], index: int
+    ) -> Callable[[float], Tuple[float, bool]]:
+        """``(sse, ok)`` of ``breakpoints`` as a function of the position
+        of ``breakpoints[index]``, the others held fixed.
+
+        Moving one breakpoint changes only the two segments that meet
+        there, so each call recomputes those two segments' closed-form
+        sums from the prefix arrays (two ``searchsorted`` lookups) and
+        re-solves the system through the same assembly as
+        :meth:`evaluate_many` — the values are those of a full
+        evaluation at the moved configuration.  The position must stay
+        strictly between its neighbours (0 and 1 at the ends).
+        """
+        bp = np.asarray(list(breakpoints), dtype=float)
+        knots = np.concatenate([[0.0], bp, [1.0]]).reshape(1, -1)
+        columns = self._columns(knots)
+        window = knots[:, index : index + 3].copy()
+        pair = slice(index, index + 2)
+
+        def at(position: float) -> Tuple[float, bool]:
+            window[0, 1] = position
+            for full, part in zip(columns, self._columns(window)):
+                full[:, pair] = part
+            _, sse, ok = self._solve_columns(*columns)
+            return float(sse[0]), bool(ok[0])
+
+        return at
+
+    # ------------------------------------------------------------------
+    def _columns(
+        self, knots: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-segment ingredients of the normal equations for knot rows
+        ``(C, m+2)``: segment lengths and the closed-form sums
+        ``sum(w B_j)``, ``sum(w B_j^2)`` and ``sum(w B_j y)``, each
+        ``(C, m+1)``.  Segment ``j`` depends only on its own two knots."""
         lo = knots[:, :-1]
-        seg_len = np.diff(knots, axis=1)
-
-        idx = np.searchsorted(self.x, knots, side="left")
-        i_lo = idx[:, :-1]
-        i_hi = idx[:, 1:]
-        s0 = self._p0[i_hi] - self._p0[i_lo]
-        s1 = self._p1[i_hi] - self._p1[i_lo]
-        s2 = self._p2[i_hi] - self._p2[i_lo]
-        sy = self._py[i_hi] - self._py[i_lo]
-        sxy = self._pxy[i_hi] - self._pxy[i_lo]
-        t0 = self._p0[-1] - self._p0[i_hi]
-        ty = self._py[-1] - self._py[i_hi]
-
+        seg_len = knots[:, 1:] - lo
+        at_knot = self._prefix[np.searchsorted(self.x, knots, side="left")]
+        mid = at_knot[:, 1:] - at_knot[:, :-1]
+        tail = self._prefix[-1] - at_knot[:, 1:]
+        s0, s1, s2, sy, sxy = mid[..., 0], mid[..., 1], mid[..., 2], mid[..., 3], mid[..., 4]
+        t0, ty = tail[..., 0], tail[..., 3]
         col_sum = (s1 - lo * s0) + seg_len * t0
         col_sq = (s2 - 2.0 * lo * s1 + lo * lo * s0) + seg_len * seg_len * t0
         col_y = (sxy - lo * sy) + seg_len * ty
+        return seg_len, col_sum, col_sq, col_y
 
-        # Data Gram over params [intercept, slope_1 .. slope_{m+1}].
+    def _solve_columns(
+        self,
+        seg_len: np.ndarray,
+        col_sum: np.ndarray,
+        col_sq: np.ndarray,
+        col_y: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Assemble the Gram systems from :meth:`_columns` output, solve
+        them, and return ``(coeffs, sse, ok)`` as :meth:`evaluate_many`
+        documents."""
+        n_configs, n_seg = seg_len.shape
+        # Data Gram over params [intercept, slope_1 .. slope_{m+1}]; the
+        # slope block's (j, l) entry is L_min(j,l) * sum(w B_max(j,l)).
+        first, last, diag = _pair_index(n_seg)
         gram = np.empty((n_configs, n_seg + 1, n_seg + 1), dtype=float)
-        gram[:, 0, 0] = self._p0[-1]
+        gram[:, 0, 0] = self._total_w
         gram[:, 0, 1:] = col_sum
         gram[:, 1:, 0] = col_sum
-        cross = np.triu(seg_len[:, :, None] * col_sum[:, None, :], 1)
-        cross = cross + np.swapaxes(cross, 1, 2)
-        diag = np.arange(n_seg)
-        cross[:, diag, diag] = col_sq
-        gram[:, 1:, 1:] = cross
+        gram[:, 1:, 1:] = seg_len[:, first] * col_sum[:, last]
+        gram[:, diag, diag] = col_sq
         rhs = np.empty((n_configs, n_seg + 1), dtype=float)
-        rhs[:, 0] = self._py[-1]
+        rhs[:, 0] = self._total_wy
         rhs[:, 1:] = col_y
 
         if self.anchor_w > 0.0:
-            wa = self.anchor_w
-            system = gram.copy()
-            target = rhs.copy()
-            system[:, 0, 0] += 2.0 * wa
-            system[:, 0, 1:] += wa * seg_len
-            system[:, 1:, 0] += wa * seg_len
-            system[:, 1:, 1:] += wa * (seg_len[:, :, None] * seg_len[:, None, :])
-            target[:, 0] += wa
-            target[:, 1:] += wa * seg_len
+            # The (1, 1) anchor row is [1, L_1 .. L_{m+1}]; the (0, 0) row
+            # only adds to the intercept.
+            anchor_row = np.empty((n_configs, n_seg + 1), dtype=float)
+            anchor_row[:, 0] = 1.0
+            anchor_row[:, 1:] = seg_len
+            outer = anchor_row[:, :, None] * anchor_row[:, None, :]
+            outer[:, 0, 0] = 2.0
+            system = gram + self.anchor_w * outer
+            target = rhs + self.anchor_w * anchor_row
         else:
             system, target = gram, rhs
 
@@ -206,19 +272,8 @@ class MomentProfile:
         sse = self.syy - 2.0 * np.einsum("ci,ci->c", coeffs, rhs) + np.einsum(
             "ci,ci->c", coeffs, gram_c
         )
-        ok = (
-            np.all(np.isfinite(coeffs), axis=1)
-            & np.isfinite(sse)
-            & (sse > self.sse_floor)
-        )
+        ok = np.isfinite(coeffs).all(axis=1) & np.isfinite(sse) & (sse > self.sse_floor)
         return coeffs, sse, ok
-
-    def evaluate_one(self, breakpoints) -> Tuple[np.ndarray, float, bool]:
-        """Single-configuration convenience wrapper over
-        :meth:`evaluate_many`."""
-        bp = np.asarray(list(breakpoints), dtype=float).reshape(1, -1)
-        coeffs, sse, ok = self.evaluate_many(bp)
-        return coeffs[0], float(sse[0]), bool(ok[0])
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -19,25 +19,22 @@ local refinement, and the breakpoint *count* is selected by BIC (see
 removes boundaries between segments with statistically indistinguishable
 slopes.
 
-The search ranks thousands of candidate configurations per fit;
-``PWLRConfig.search_kernel`` chooses how those rankings are computed.
-``"moments"`` evaluates candidates through the prefix-moment normal
-equations of :mod:`repro.fitting.moments` — O(k^3) per candidate,
-independent of the sample count, batched over the whole grid —
-``"exact"`` keeps the dense per-candidate least squares, and ``"auto"``
-(the default) picks by data size and geometry.  Either way the kernel
-only *ranks*: the selected breakpoints are always refit through the
-exact (optionally NNLS-constrained, anchored) path, and both kernels
-select identical breakpoints — enforced by the ``pwlr_kernel`` selftest
-suite, which also checks full-pipeline results stay byte-identical
-through the store codec.
+The search ranks thousands of candidate configurations per fit, by SSE
+alone: grid candidates in batches through the prefix-moment normal
+equations of :mod:`repro.fitting.moments` (O(k^3) per candidate,
+independent of the sample count), off-grid refinement through that
+profile's one-breakpoint probe.  Configurations whose moment solve is
+unreliable are re-scored by the dense unconstrained fit.  Only the
+selected breakpoints are fit as a model, through the exact (optionally
+NNLS-constrained, anchored) path; the ``pwlr_kernel`` selftest suite
+checks the search selects the same models when a dense per-candidate
+least-squares scorer ranks the grid instead.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar, nnls
@@ -215,15 +212,6 @@ class PWLRConfig:
         knee, which a PWL fit splits with two nearby breakpoints) and are
         merged into their weaker-boundary neighbor by the phase-detection
         stage.
-    search_kernel:
-        How candidate configurations are *ranked* during the breakpoint
-        search: ``"moments"`` uses the n-independent prefix-moment
-        kernel (:mod:`repro.fitting.moments`), ``"exact"`` the dense
-        per-candidate least squares, ``"auto"`` (default) picks moments
-        for large well-conditioned series and exact otherwise.  Both
-        kernels select identical breakpoints and results (the selected
-        configuration is always refit through the exact path), so this
-        knob is excluded from store fingerprints like ``n_jobs``.
     """
 
     max_breakpoints: int = 11
@@ -236,7 +224,6 @@ class PWLRConfig:
     merge_slope_tol: float = 0.12
     refine_passes: int = 2
     min_phase_span: float = 0.02
-    search_kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_breakpoints < 0:
@@ -256,11 +243,6 @@ class PWLRConfig:
         if not 0.0 <= self.min_phase_span < 0.5:
             raise FittingError(
                 f"min_phase_span must be in [0, 0.5): {self.min_phase_span}"
-            )
-        if self.search_kernel not in ("auto", "moments", "exact"):
-            raise FittingError(
-                "search_kernel must be 'auto', 'moments' or 'exact': "
-                f"{self.search_kernel!r}"
             )
 
 
@@ -350,120 +332,70 @@ def fit_fixed_breakpoints(
 
 
 # ----------------------------------------------------------------------
-# search scorer: kernel selection, batching, memoization
+# search scorer
 # ----------------------------------------------------------------------
 
-#: Below this many samples the dense evaluator is as fast as a batched
-#: moments solve, so "auto" keeps the reference path.
-_AUTO_MIN_POINTS = 512
-
-#: "auto" requires this many distinct abscissae per model parameter —
-#: degenerate geometries (heavily duplicated x) condition the normal
-#: equations badly and stay on the exact path.
-_AUTO_DISTINCT_FACTOR = 8
-
-#: Per-fit memo-cache bound (rounded-tuple LRU).
-_SEARCH_CACHE_MAX = 8192
+#: Scores a ``(C, m)`` array of sorted breakpoint rows: data SSE per row.
+_GridScorer = Callable[[np.ndarray], np.ndarray]
 
 
 class _SearchScorer:
-    """Candidate-configuration evaluator behind the breakpoint search.
+    """SSE scoring behind the breakpoint search, from one moment profile.
 
-    Resolves ``PWLRConfig.search_kernel`` to the grid evaluator
-    ("moments": batched prefix-moment solves; "exact": per-candidate
-    dense lstsq), memoizes repeated configurations across refinement
-    passes (rounded-tuple LRU), and accumulates the evaluation count
-    flushed once per fit to ``pwlr.candidate_evaluations`` — requested
-    evaluations count whether or not the cache absorbs them, so the
-    counter is kernel- and cache-independent.
-
-    Continuous (off-grid) refinement evaluates through
-    :meth:`fit_continuous`, which always uses the shared moments profile
-    with its deterministic exact escape — *regardless of the kernel* —
-    so the scalar minimizer sees bit-identical objective values under
-    either kernel.  Grid stages are pure comparisons and the final fit
-    is always exact, which together make the two kernels select
-    identical breakpoints and serialize byte-identical results.
+    :meth:`grid` scores candidate batches, :meth:`probe` gives the
+    continuous refinement its one-breakpoint objective.  Both re-score
+    any configuration the profile flags unreliable (SSE at or below its
+    cancellation floor, or non-finite) through the dense unconstrained
+    fit, so cancellation noise never decides a comparison.  Evaluation
+    and escape counts accumulate here and are flushed once per fit.
+    ``grid_scorer`` replaces the grid ranking (the selftests inject a
+    dense reference scorer through it).
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, cfg: "PWLRConfig") -> None:
+    def __init__(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        cfg: "PWLRConfig",
+        grid_scorer: Optional[_GridScorer] = None,
+    ) -> None:
         self.x = x
         self.y = y
         self.cfg = cfg
-        self.n = int(x.size)
-        self.kernel = self._resolve_kernel(cfg, x, y)
         self.n_evals = 0
-        self.n_cache_hits = 0
         self.n_exact_escapes = 0
-        self._cache: "OrderedDict[tuple, PiecewiseLinearModel]" = OrderedDict()
-        try:
-            self._profile: Optional[MomentProfile] = MomentProfile(
-                x, y, anchor=cfg.anchor, anchor_weight=cfg.anchor_weight
-            )
-        except FittingError:
-            self._profile = None
+        self._profile = MomentProfile(
+            x, y, anchor=cfg.anchor, anchor_weight=cfg.anchor_weight
+        )
+        self._grid = grid_scorer or self._moments_sse
 
-    @staticmethod
-    def _resolve_kernel(cfg: "PWLRConfig", x: np.ndarray, y: np.ndarray) -> str:
-        if cfg.search_kernel != "auto":
-            return cfg.search_kernel
-        if x.size < _AUTO_MIN_POINTS:
-            return "exact"
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            return "exact"
-        if np.unique(x).size < _AUTO_DISTINCT_FACTOR * (cfg.max_breakpoints + 2):
-            return "exact"
-        return "moments"
-
-    # -- public evaluation API -----------------------------------------
-    def fit_one(self, breaks: Sequence[float]) -> PiecewiseLinearModel:
-        """Evaluate one configuration with the kernel-selected evaluator."""
-        return self.fit_many([list(breaks)])[0]
-
-    def fit_many(
-        self, configs: Sequence[Sequence[float]]
-    ) -> List[PiecewiseLinearModel]:
-        """Evaluate a batch of configurations (kernel evaluator)."""
-        return self._evaluate(configs, self.kernel)
-
-    def fit_continuous(self, breaks: Sequence[float]) -> PiecewiseLinearModel:
-        """Evaluate one off-grid configuration on the shared moments
-        profile (kernel-independent; exact escape when unreliable)."""
-        return self._evaluate([list(breaks)], "moments")[0]
-
-    # -- internals ------------------------------------------------------
-    def _evaluate(
-        self, configs: Sequence[Sequence[float]], domain: str
-    ) -> List[PiecewiseLinearModel]:
+    def grid(self, configs: np.ndarray) -> np.ndarray:
+        """Data SSE of each ``(C, m)`` configuration row."""
         self.n_evals += len(configs)
-        models: List[Optional[PiecewiseLinearModel]] = [None] * len(configs)
-        keys: List[tuple] = []
-        missing: List[int] = []
-        for i, breaks in enumerate(configs):
-            key = (domain, tuple(round(float(b), 12) for b in breaks))
-            keys.append(key)
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.n_cache_hits += 1
-                self._cache.move_to_end(key)
-                models[i] = hit
-            else:
-                missing.append(i)
-        if missing:
-            if domain == "moments":
-                fresh = self._eval_moments([configs[i] for i in missing])
-            else:
-                fresh = [self._eval_exact(configs[i]) for i in missing]
-            for i, model in zip(missing, fresh):
-                models[i] = model
-                self._cache[keys[i]] = model
-                if len(self._cache) > _SEARCH_CACHE_MAX:
-                    self._cache.popitem(last=False)
-        return models  # type: ignore[return-value]
+        return self._grid(configs)
 
-    def _eval_exact(self, breaks: Sequence[float]) -> PiecewiseLinearModel:
-        # Rank with the unconstrained solver: orders of magnitude faster
-        # than NNLS and equally good at *ranking* configurations by SSE.
+    def probe(self, breaks: Sequence[float], index: int) -> Callable[[float], float]:
+        """Data SSE of ``breaks`` as a function of ``breaks[index]``."""
+        at = self._profile.probe(breaks, index)
+        others = list(breaks[:index]) + list(breaks[index + 1 :])
+
+        def objective(position: float) -> float:
+            self.n_evals += 1
+            sse, ok = at(position)
+            if ok:
+                return sse
+            return self._exact_sse(sorted(others + [float(position)]))
+
+        return objective
+
+    def _moments_sse(self, configs: np.ndarray) -> np.ndarray:
+        _, sse, ok = self._profile.evaluate_many(configs)
+        for row in np.flatnonzero(~ok):
+            sse[row] = self._exact_sse(configs[row])
+        return sse
+
+    def _exact_sse(self, breaks) -> float:
+        self.n_exact_escapes += 1
         return fit_fixed_breakpoints(
             self.x,
             self.y,
@@ -471,39 +403,7 @@ class _SearchScorer:
             anchor=self.cfg.anchor,
             anchor_weight=self.cfg.anchor_weight,
             monotone=False,
-        )
-
-    def _eval_moments(
-        self, configs: Sequence[Sequence[float]]
-    ) -> List[PiecewiseLinearModel]:
-        if self._profile is None:
-            self.n_exact_escapes += len(configs)
-            return [self._eval_exact(b) for b in configs]
-        models: List[Optional[PiecewiseLinearModel]] = [None] * len(configs)
-        by_len: Dict[int, List[int]] = {}
-        for i, breaks in enumerate(configs):
-            by_len.setdefault(len(breaks), []).append(i)
-        for length, idxs in by_len.items():
-            bp = np.asarray(
-                [configs[i] for i in idxs], dtype=float
-            ).reshape(len(idxs), length)
-            coeffs, sse, ok = self._profile.evaluate_many(bp)
-            for row, i in enumerate(idxs):
-                if ok[row]:
-                    models[i] = PiecewiseLinearModel(
-                        breakpoints=np.asarray(configs[i], dtype=float),
-                        slopes=coeffs[row, 1:].copy(),
-                        intercept=float(coeffs[row, 0]),
-                        sse=float(sse[row]),
-                        n_points=self.n,
-                    )
-                else:
-                    # Precision escape: near-interpolating or singular
-                    # configurations re-rank through the dense path so
-                    # cancellation noise never decides a comparison.
-                    self.n_exact_escapes += 1
-                    models[i] = self._eval_exact(configs[i])
-        return models  # type: ignore[return-value]
+        ).sse
 
 
 # ----------------------------------------------------------------------
@@ -534,8 +434,6 @@ def fit_pwlr(
         model, scorer = _fit_pwlr_impl(x, y, cfg)
     _metric_counter("pwlr.fits").inc()
     _metric_counter("pwlr.candidate_evaluations").inc(scorer.n_evals)
-    _metric_counter(f"pwlr.kernel.{scorer.kernel}").inc()
-    _metric_counter("pwlr.search_cache_hits").inc(scorer.n_cache_hits)
     if scorer.n_exact_escapes:
         _metric_counter("pwlr.search_exact_escapes").inc(scorer.n_exact_escapes)
     if rec is not None:
@@ -544,14 +442,13 @@ def fit_pwlr(
 
 
 def _fit_pwlr_impl(
-    x: np.ndarray, y: np.ndarray, cfg: "PWLRConfig"
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: "PWLRConfig",
+    grid_scorer: Optional[_GridScorer] = None,
 ) -> Tuple[PiecewiseLinearModel, _SearchScorer]:
     grid = np.linspace(cfg.min_separation, 1.0 - cfg.min_separation, cfg.n_candidates)
-    # The scorer owns the kernel choice, the per-fit memo cache and the
-    # evaluation count, which is accumulated locally and flushed to the
-    # metrics registry once per fit: the search evaluates thousands of
-    # configurations and must not pay a context lookup per call.
-    scorer = _SearchScorer(x, y, cfg)
+    scorer = _SearchScorer(x, y, cfg, grid_scorer)
 
     def final_fit(breaks: Sequence[float]) -> PiecewiseLinearModel:
         return fit_fixed_breakpoints(
@@ -564,29 +461,30 @@ def _fit_pwlr_impl(
         )
 
     current: List[float] = []
-    model = scorer.fit_one(current)
+    sse = float(scorer.grid(np.empty((1, 0)))[0])
     best_breaks: List[float] = []
-    best_bic = model_selection.bic(model.sse, model.n_points, _n_params(model))
+    best_bic = model_selection.bic(sse, x.size, _n_params(0))
     worsening = 0
 
     while len(current) < cfg.max_breakpoints:
-        addition = _best_addition(scorer, current, grid, cfg.min_separation)
+        addition = _best_addition(scorer.grid, current, grid, cfg.min_separation)
         if addition is None:
             break
-        current, model = addition
+        current, sse = addition
         for _ in range(cfg.refine_passes):
-            current, model = _refine_positions(
-                scorer, current, model, grid, cfg.min_separation
+            current, sse = _refine_positions(
+                scorer.grid, current, sse, grid, cfg.min_separation
             )
         # Refine positions off-grid before judging this k: BIC must compare
         # each breakpoint count at its best achievable positions, not at
         # grid-quantized ones (a sharp knee between grid points otherwise
         # makes k+2 staircases look better than the true k).
-        current = _continuous_refine(
-            scorer.fit_continuous, current, cfg.min_separation, passes=1
+        current, refined_sse = _continuous_refine(
+            scorer.probe, current, cfg.min_separation, passes=1
         )
-        model = scorer.fit_one(current)
-        candidate_bic = model_selection.bic(model.sse, model.n_points, _n_params(model))
+        if refined_sse is not None:
+            sse = refined_sse
+        candidate_bic = model_selection.bic(sse, x.size, _n_params(len(current)))
         if candidate_bic < best_bic:
             best_bic = candidate_bic
             best_breaks = list(current)
@@ -600,8 +498,8 @@ def _fit_pwlr_impl(
     # with sharp knees that quantization splits one true boundary into two
     # neighboring grid points.  A bounded 1-D minimization per breakpoint
     # recovers the exact position (exact on noiseless data).
-    best_breaks = _continuous_refine(
-        scorer.fit_continuous, best_breaks, cfg.min_separation
+    best_breaks, _ = _continuous_refine(
+        scorer.probe, best_breaks, cfg.min_separation
     )
 
     best_model = final_fit(best_breaks)
@@ -622,84 +520,95 @@ def _fit_pwlr_impl(
     return best_model, scorer
 
 
-def _n_params(model: PiecewiseLinearModel) -> int:
+def _n_params(n_breakpoints: int) -> int:
     """Free parameters: intercept + slopes + breakpoint positions."""
-    return 1 + model.n_segments + model.breakpoints.size
+    return 1 + (n_breakpoints + 1) + n_breakpoints
+
+
+def _trial_matrix(others: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """One sorted configuration row per position: ``others`` plus it."""
+    rows = np.empty((positions.size, others.size + 1), dtype=float)
+    rows[:, :-1] = others
+    rows[:, -1] = positions
+    rows.sort(axis=1)
+    return rows
+
+
+def _allowed(positions: np.ndarray, others: np.ndarray, min_sep: float) -> np.ndarray:
+    """Positions at least ``min_sep`` away from every one of ``others``."""
+    close = np.abs(positions[:, None] - others[None, :]) < min_sep
+    return positions[~close.any(axis=1)]
+
+
+def _first_min(sse: np.ndarray) -> Optional[int]:
+    """Index of the smallest finite SSE (first wins on ties), or None."""
+    ranked = np.where(np.isnan(sse), np.inf, sse)
+    best = int(np.argmin(ranked))
+    return best if ranked[best] < np.inf else None
 
 
 def _best_addition(
-    scorer: _SearchScorer, current: List[float], grid: np.ndarray, min_sep: float
-):
+    score: _GridScorer, current: List[float], grid: np.ndarray, min_sep: float
+) -> Optional[Tuple[List[float], float]]:
     """Score every candidate insertion in one batch; return the
-    ``(breaks, model)`` of the best one (first wins on ties)."""
-    trials: List[List[float]] = []
-    for candidate in grid:
-        if any(abs(candidate - b) < min_sep for b in current):
-            continue
-        trials.append(sorted(current + [float(candidate)]))
-    if not trials:
+    ``(breaks, sse)`` of the best one (first wins on ties)."""
+    others = np.asarray(current, dtype=float)
+    positions = _allowed(grid, others, min_sep)
+    if not positions.size:
         return None
-    best = None
-    best_sse = np.inf
-    for trial_breaks, trial in zip(trials, scorer.fit_many(trials)):
-        if trial.sse < best_sse:
-            best_sse = trial.sse
-            best = (trial_breaks, trial)
-    return best
+    trials = _trial_matrix(others, positions)
+    sse = score(trials)
+    best = _first_min(sse)
+    if best is None:
+        return None
+    return trials[best].tolist(), float(sse[best])
 
 
 def _refine_positions(
-    scorer: _SearchScorer,
+    score: _GridScorer,
     current: List[float],
-    model: PiecewiseLinearModel,
+    sse: float,
     grid: np.ndarray,
     min_sep: float,
     window: int = 5,
-):
+) -> Tuple[List[float], float]:
     """Coordinate descent on breakpoint positions, ``window`` grid steps
-    wide; each breakpoint's window is scored as one batch."""
+    wide; each breakpoint's window is scored as one batch and its best
+    position replaces the incumbent only when it lowers the SSE by more
+    than 1e-15."""
     breaks = list(current)
-    best_model = model
     for i in range(len(breaks)):
-        others = breaks[:i] + breaks[i + 1 :]
+        others = np.asarray(breaks[:i] + breaks[i + 1 :], dtype=float)
         anchor_idx = int(np.argmin(np.abs(grid - breaks[i])))
         lo = max(0, anchor_idx - window)
         hi = min(grid.size, anchor_idx + window + 1)
-        positions: List[float] = []
-        trials: List[List[float]] = []
-        for candidate in grid[lo:hi]:
-            if any(abs(candidate - b) < min_sep for b in others):
-                continue
-            positions.append(float(candidate))
-            trials.append(sorted(others + [float(candidate)]))
-        best_pos = breaks[i]
-        if trials:
-            for position, trial in zip(positions, scorer.fit_many(trials)):
-                if trial.sse < best_model.sse - 1e-15:
-                    best_model = trial
-                    best_pos = position
-        breaks[i] = best_pos
+        positions = _allowed(grid[lo:hi], others, min_sep)
+        if positions.size:
+            trial_sse = score(_trial_matrix(others, positions))
+            best = _first_min(trial_sse)
+            if best is not None and trial_sse[best] < sse - 1e-15:
+                breaks[i] = float(positions[best])
+                sse = float(trial_sse[best])
         breaks.sort()
-    return breaks, best_model
+    return breaks, sse
 
 
 def _continuous_refine(
-    fit_at,
+    probe: Callable[[List[float], int], Callable[[float], float]],
     breaks: List[float],
     min_sep: float,
     passes: int = 2,
     xatol: float = 1e-5,
-) -> List[float]:
+) -> Tuple[List[float], Optional[float]]:
     """Coordinate descent with continuous (off-grid) breakpoint positions.
 
-    ``objective(breaks[i])`` is the SSE of the *whole current
-    configuration* — the same value for every ``i`` — so it is computed
-    once up front and carried across accepted moves instead of being
-    re-fit after every minimizer call.
+    ``probe(breaks, i)`` is the SSE of the whole configuration as a
+    function of ``breaks[i]``; at the incumbent position it is the same
+    value for every ``i``, so it is computed once up front and carried
+    across accepted moves.  Returns the refined breakpoints and their
+    SSE (``None`` when no breakpoint had room to move).
     """
     breaks = sorted(float(b) for b in breaks)
-    if not breaks:
-        return breaks
     current_sse: Optional[float] = None
     for _ in range(passes):
         for i in range(len(breaks)):
@@ -707,11 +616,7 @@ def _continuous_refine(
             hi = (breaks[i + 1] - min_sep) if i < len(breaks) - 1 else 1.0 - min_sep
             if hi <= lo:
                 continue
-            others = breaks[:i] + breaks[i + 1 :]
-
-            def objective(position: float) -> float:
-                return fit_at(sorted(others + [float(position)])).sse
-
+            objective = probe(breaks, i)
             if current_sse is None:
                 current_sse = objective(breaks[i])
             result = minimize_scalar(
@@ -721,7 +626,7 @@ def _continuous_refine(
                 breaks[i] = float(result.x)
                 current_sse = float(result.fun)
         breaks.sort()
-    return breaks
+    return breaks, current_sse
 
 
 def _drop_narrowest_sliver(

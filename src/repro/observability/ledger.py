@@ -22,6 +22,9 @@ import platform
 import time
 from typing import Dict, List, Optional
 
+import numpy
+import scipy
+
 from repro import BLAS_THREAD_VARS
 from repro.observability.spans import Profile
 
@@ -31,16 +34,29 @@ __all__ = ["LEDGER_FORMAT", "RunLedger", "host_info", "stage_table"]
 LEDGER_FORMAT = "repro-telemetry/1"
 
 
+def _blas_vendor() -> str:
+    """``"<name> <version>"`` of the BLAS numpy was built against."""
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def host_info() -> Dict[str, object]:
-    """Where this run happened: node, platform, python, pid, and the
-    BLAS/OpenMP thread variables as set after ``import repro`` (``None``
-    for an unset one), so a level shift can be told apart from a
-    threading change."""
+    """Where this run happened: node, platform, python, pid, the
+    numpy/scipy versions and BLAS vendor, and the BLAS/OpenMP thread
+    variables as set after ``import repro`` (``None`` for an unset one),
+    so a level shift can be told apart from a change of the
+    linear-algebra environment (see ``repro perf check``)."""
     return {
         "node": platform.node(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "pid": os.getpid(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": _blas_vendor(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
 

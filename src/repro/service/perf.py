@@ -33,8 +33,7 @@ __all__ = [
     "stage_series",
     "fit_duration_series",
     "segment_levels",
-    "kernel_history",
-    "kernel_shift_note",
+    "environment_changes",
     "check_history",
 ]
 
@@ -46,6 +45,13 @@ MIN_RUNS = 8
 
 #: A previous level below this (seconds/run) is noise, not a baseline.
 _LEVEL_FLOOR_S = 1e-6
+
+#: Ledger ``host`` keys that describe the linear-algebra environment.
+ENVIRONMENT_KEYS = ("numpy", "scipy", "blas")
+
+#: A level shift this many runs from an environment change coincides
+#: with it (the fitted breakpoint is rounded to a run index).
+_COINCIDENCE_RUNS = 1
 
 
 def stage_series(
@@ -78,68 +84,37 @@ def stage_series(
     return series
 
 
-def kernel_history(records: Sequence[Mapping[str, object]]) -> List[str]:
-    """Per-record PWLR search-kernel label from the ledger's metrics
-    snapshot: ``"moments"``, ``"exact"``, ``"mixed"`` (a run whose fits
-    used both, e.g. "auto" resolving differently per cluster), or
-    ``"-"`` when the record predates the kernel counters.
+def environment_changes(
+    records: Sequence[Mapping[str, object]],
+) -> List[Tuple[int, str]]:
+    """``(run, change)`` for each record whose linear-algebra environment
+    differs from the previous record that carries one.
+
+    ``run`` is the record's 1-based index; ``change`` lists what moved,
+    e.g. ``"numpy 1.26.4->2.4.6, blas openblas 0.3.27->0.3.31"``.  The
+    environment is the ledger's ``host`` entry for
+    :data:`ENVIRONMENT_KEYS`; records written before those were recorded
+    are skipped.
     """
-    labels: List[str] = []
-    for record in records:
-        metrics = record.get("metrics")
-        moments = exact = 0.0
-        if isinstance(metrics, Mapping):
-            m = metrics.get("pwlr.kernel.moments", 0)
-            e = metrics.get("pwlr.kernel.exact", 0)
-            moments = float(m) if isinstance(m, (int, float)) else 0.0
-            exact = float(e) if isinstance(e, (int, float)) else 0.0
-        if moments and exact:
-            labels.append("mixed")
-        elif moments:
-            labels.append("moments")
-        elif exact:
-            labels.append("exact")
-        else:
-            labels.append("-")
-    return labels
-
-
-def _kernel_transition(labels: Sequence[str]) -> Optional[Tuple[int, str, str]]:
-    """``(run_index, old, new)`` of the first kernel change (1-based,
-    ignoring unlabeled runs), or ``None`` when the history is uniform."""
-    prev: Optional[str] = None
-    for i, label in enumerate(labels, 1):
-        if label == "-":
+    changes: List[Tuple[int, str]] = []
+    previous: Optional[Dict[str, object]] = None
+    for run, record in enumerate(records, 1):
+        host = record.get("host")
+        if not isinstance(host, Mapping):
             continue
-        if prev is not None and label != prev:
-            return i, prev, label
-        prev = label
-    return None
-
-
-def kernel_shift_note(records: Sequence[Mapping[str, object]]) -> str:
-    """One-line kernel attribution for ``repro perf history``: which
-    search kernel the recorded runs used, and where it changed — the
-    first thing to rule out when a fit-stage level shift appears."""
-    labels = kernel_history(records)
-    seen = [label for label in labels if label != "-"]
-    if not seen:
-        return ""
-    if len(set(seen)) == 1:
-        return f"pwlr search kernel: {seen[0]} for all {len(seen)} run(s)"
-    parts: List[str] = []
-    current: Optional[str] = None
-    start = last = 0
-    for i, label in enumerate(labels, 1):
-        if label == "-":
+        env = {key: host.get(key) for key in ENVIRONMENT_KEYS}
+        if all(value is None for value in env.values()):
             continue
-        if label != current:
-            if current is not None:
-                parts.append(f"{current} (runs {start}-{last})")
-            current, start = label, i
-        last = i
-    parts.append(f"{current} (runs {start}-{last})")
-    return "pwlr search kernel: " + ", ".join(parts)
+        if previous is not None:
+            moved = [
+                f"{key} {previous[key]}->{env[key]}"
+                for key in ENVIRONMENT_KEYS
+                if env[key] != previous[key]
+            ]
+            if moved:
+                changes.append((run, ", ".join(moved)))
+        previous = env
+    return changes
 
 
 def fit_duration_series(durations: Sequence[float]):
@@ -294,6 +269,21 @@ def _verdict_for(
     )
 
 
+def _tag_environment(
+    verdict: StageVerdict, changes: Sequence[Tuple[int, str]]
+) -> StageVerdict:
+    """``verdict`` with a note naming the environment change its level
+    shift coincides with (within :data:`_COINCIDENCE_RUNS` runs)."""
+    if verdict.breakpoint_run is None:
+        return verdict
+    for run, change in changes:
+        if abs(verdict.breakpoint_run - run) <= _COINCIDENCE_RUNS:
+            tag = f"environment changed at run {run}: {change}"
+            note = f"{verdict.note}; {tag}" if verdict.note else tag
+            return dataclasses.replace(verdict, note=note)
+    return verdict
+
+
 def check_history(
     records: Sequence[Mapping[str, object]],
     threshold: float = 1.5,
@@ -317,19 +307,11 @@ def check_history(
         _verdict_for(stage, durations, threshold, min_runs)
         for stage, durations in series.items()
     ]
-    # A fit-stage level shift that coincides with a search-kernel change
-    # is attributable to the kernel, not the workload — surface that on
+    # A level shift that coincides with a numpy/scipy/BLAS change may
+    # come from the environment rather than the code — surface that on
     # the verdict so the gate's output explains itself.
-    transition = _kernel_transition(kernel_history(records))
-    if transition is not None:
-        run, old, new = transition
-        tag = f"search kernel {old}->{new} at run {run}"
-        verdicts = [
-            dataclasses.replace(v, note=f"{v.note}; {tag}" if v.note else tag)
-            if "fit" in v.stage
-            else v
-            for v in verdicts
-        ]
+    changes = environment_changes(records)
+    verdicts = [_tag_environment(v, changes) for v in verdicts]
     verdicts.sort(key=lambda v: (not v.regressed, v.stage))
     return PerfReport(
         verdicts=verdicts, threshold=threshold, n_records=len(records)

@@ -6,11 +6,8 @@ digest is a safe cache key.  A few knobs are excluded from the
 fingerprint because they provably cannot change the result, only how it
 is computed or narrated: ``n_jobs`` (the parallel path is
 bit-deterministic vs serial), ``profile`` and ``progress_every``
-(observability only), and ``pwlr.search_kernel`` (the moments and exact
-kernels select identical breakpoints — enforced by the ``pwlr_kernel``
-selftest suite — and the final fit is always the exact path).  A
-parallel or moments-kernel re-analysis therefore hits the cache entry a
-serial/exact run populated.
+(observability only).  A parallel re-analysis therefore hits the cache
+entry a serial run populated.
 
 Trace identity is the file's *bytes* (streamed SHA-256), not the parsed
 records: two files that parse identically but differ textually get
@@ -40,14 +37,17 @@ __all__ = [
 ]
 
 #: Fingerprint scheme identifier, mixed into every digest; bump when the
-#: config canonicalization or hashing recipe changes.
-FINGERPRINT_FORMAT = "repro-fp/1"
+#: config canonicalization or hashing recipe changes, or when the
+#: analysis of an unchanged trace and config stops reproducing stored
+#: result bits (so a store filled by older code is not served as current).
+FINGERPRINT_FORMAT = "repro-fp/2"
 
 #: AnalyzerConfig fields that cannot affect analysis output.
 _NON_SEMANTIC_FIELDS = ("n_jobs", "profile", "progress_every")
 
-#: Nested PWLRConfig fields that cannot affect analysis output.
-_NON_SEMANTIC_PWLR_FIELDS = ("search_kernel",)
+#: PWLRConfig fields that older versions stored and this one ignores
+#: (``search_kernel`` only chose how candidates were ranked).
+_LEGACY_PWLR_FIELDS = ("search_kernel",)
 
 _READ_CHUNK = 1 << 20
 
@@ -62,7 +62,11 @@ def config_to_dict(config: AnalyzerConfig) -> Dict[str, Any]:
 
 
 def config_from_dict(data: Mapping[str, Any]) -> AnalyzerConfig:
-    """Rebuild an :class:`AnalyzerConfig` from :func:`config_to_dict`."""
+    """Rebuild an :class:`AnalyzerConfig` from :func:`config_to_dict`.
+
+    Accepts and drops the legacy ``pwlr.search_kernel`` key, which
+    stored configs and stream checkpoints written by older versions
+    carry; any other unknown field is refused."""
     payload = dict(data)
     known = {f.name for f in dataclasses.fields(AnalyzerConfig)}
     unknown = set(payload) - known
@@ -73,13 +77,16 @@ def config_from_dict(data: Mapping[str, Any]) -> AnalyzerConfig:
     if payload.get("counters") is not None:
         payload["counters"] = tuple(str(c) for c in payload["counters"])
     if "pwlr" in payload and isinstance(payload["pwlr"], Mapping):
+        pwlr_payload = {
+            k: v for k, v in payload["pwlr"].items() if k not in _LEGACY_PWLR_FIELDS
+        }
         pwlr_known = {f.name for f in dataclasses.fields(PWLRConfig)}
-        pwlr_unknown = set(payload["pwlr"]) - pwlr_known
+        pwlr_unknown = set(pwlr_payload) - pwlr_known
         if pwlr_unknown:
             raise ConfigurationError(
                 f"stored PWLR config has unknown fields: {sorted(pwlr_unknown)}"
             )
-        payload["pwlr"] = PWLRConfig(**payload["pwlr"])
+        payload["pwlr"] = PWLRConfig(**pwlr_payload)
     return AnalyzerConfig(**payload)
 
 
@@ -88,9 +95,6 @@ def config_fingerprint_dict(config: AnalyzerConfig) -> Dict[str, Any]:
     out = config_to_dict(config)
     for name in _NON_SEMANTIC_FIELDS:
         out.pop(name, None)
-    if isinstance(out.get("pwlr"), dict):
-        for name in _NON_SEMANTIC_PWLR_FIELDS:
-            out["pwlr"].pop(name, None)
     return out
 
 

@@ -186,10 +186,17 @@ class StreamReport:
     n_retained_bursts: int
     model_ready: bool
     finalized: bool
+    refits_per_1k_bursts: float
+    #: Wall seconds spent in live refits.  A timing, so it is left out of
+    #: :meth:`to_dict` and of equality, which resume parity compares.
+    refit_s: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-able view (the ``stream`` key of ``watch --json``)."""
-        return dict(self.__dict__)
+        """JSON-able view of the deterministic counters (``watch --json``
+        adds ``refit_s`` to it under its ``stream`` key)."""
+        out = dict(self.__dict__)
+        del out["refit_s"]
+        return out
 
     def render(self) -> str:
         """Human-readable multi-line summary."""
@@ -209,7 +216,8 @@ class StreamReport:
             ),
             f"  refits             {self.n_refits} "
             f"({self.n_phase_changes} phase change(s), "
-            f"{self.n_drift_events} drift event(s))",
+            f"{self.n_drift_events} drift event(s)), "
+            f"{self.refit_s:.2f} s, {self.refits_per_1k_bursts:.1f} per 1k bursts",
             f"  retained bursts    {self.n_retained_bursts}"
             + (f" (late samples: {self.n_late_samples})" if self.n_late_samples else ""),
         ]
@@ -248,6 +256,7 @@ class StreamEngine:
         self.n_noise = 0
         self.n_model_refreshes = 0
         self.n_refits = 0
+        self.refit_s = 0.0
         self.n_phase_changes = 0
         self.n_drift_events = 0
         self.n_checkpoints = 0
@@ -384,10 +393,17 @@ class StreamEngine:
     # periodic refit
     # ------------------------------------------------------------------
     def _refit_cluster(self, cid: int) -> None:
-        # Live refits run the batch detect_phases under cfg.pwlr, so they
-        # inherit AnalyzerConfig.pwlr.search_kernel: long watches over
-        # growing reservoirs get the n-independent moments search for
-        # free (under "auto", once the folded series is large enough).
+        started = time.perf_counter()
+        try:
+            self._refit_cluster_timed(cid)
+        finally:
+            self.refit_s += time.perf_counter() - started
+            gauge("stream.live.refit_seconds").set(round(self.refit_s, 6))
+
+    def _refit_cluster_timed(self, cid: int) -> None:
+        # Live refits run the batch detect_phases under cfg.pwlr: the same
+        # moments-ranked breakpoint search as `repro analyze`, whose cost
+        # does not grow with the reservoir's folded sample count.
         state = self.clusters[cid]
         state.n_since_refit = 0
         bursts = self.reservoirs[cid].items
@@ -500,6 +516,10 @@ class StreamEngine:
             n_retained_bursts=self.n_retained_bursts,
             model_ready=self.model is not None,
             finalized=self.finalized,
+            refits_per_1k_bursts=(
+                round(1000.0 * self.n_refits / self.n_bursts, 3) if self.n_bursts else 0.0
+            ),
+            refit_s=round(self.refit_s, 6),
         )
 
     # ------------------------------------------------------------------
@@ -625,6 +645,7 @@ class StreamEngine:
                 "n_noise": self.n_noise,
                 "n_model_refreshes": self.n_model_refreshes,
                 "n_refits": self.n_refits,
+                "refit_s": self.refit_s,
                 "n_phase_changes": self.n_phase_changes,
                 "n_drift_events": self.n_drift_events,
                 "n_checkpoints": self.n_checkpoints,
@@ -660,6 +681,7 @@ class StreamEngine:
         engine.n_noise = int(counters["n_noise"])  # type: ignore[index]
         engine.n_model_refreshes = int(counters["n_model_refreshes"])  # type: ignore[index]
         engine.n_refits = int(counters["n_refits"])  # type: ignore[index]
+        engine.refit_s = float(counters.get("refit_s", 0.0))  # type: ignore[union-attr]
         engine.n_phase_changes = int(counters["n_phase_changes"])  # type: ignore[index]
         engine.n_drift_events = int(counters["n_drift_events"])  # type: ignore[index]
         engine.n_checkpoints = int(counters["n_checkpoints"])  # type: ignore[index]

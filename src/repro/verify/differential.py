@@ -428,34 +428,33 @@ def _suite_pwlr_lstsq(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
 
 @_suite("pwlr_kernel")
 def _suite_pwlr_kernel(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
-    """Moments search kernel vs the exact dense kernel.
+    """``fit_pwlr`` vs the same search with the grid ranked by the dense
+    oracle scorer.
 
-    The moments kernel only *ranks* candidate configurations, continuous
-    refinement always runs on the shared moments profile, and the final
-    fit is always the exact path — so both kernels must select identical
-    breakpoints and produce bit-identical models on every corpus case,
-    and a full pipeline run must serialize byte-identical result JSON
-    under either kernel (the precondition for excluding
-    ``pwlr.search_kernel`` from store fingerprints).
+    ``fit_pwlr`` ranks grid candidates by SSE from the prefix-moment
+    profile.  Injecting :func:`~repro.verify.oracles.oracle_grid_sse`
+    (one dense least squares per candidate) through the search's
+    private ``grid_scorer`` seam changes nothing else — continuous
+    refinement and the final exact fit are shared — so every corpus
+    case must select the same breakpoints and produce a bit-identical
+    model.
     """
-    import dataclasses
+    import functools
 
-    from repro.analysis.pipeline import AnalyzerConfig, FoldingAnalyzer
-    from repro.fitting.pwlr import PWLRConfig, fit_pwlr
-    from repro.store.serialize import result_to_json
-    from repro.trace.reader import read_trace
+    from repro.fitting.pwlr import PWLRConfig, _fit_pwlr_impl, fit_pwlr
     from repro.verify.corpus import pwl_datasets
+    from repro.verify.oracles import oracle_grid_sse
 
     out: List[Divergence] = []
     cases = pwl_datasets(ctx.seed, ctx.full)
     for case in cases:
-        models = {}
-        for kernel in ("moments", "exact"):
-            cfg = PWLRConfig(
-                anchor=case.anchor, monotone=case.monotone, search_kernel=kernel
-            )
-            models[kernel] = fit_pwlr(case.x, case.y, config=cfg)
-        got, want = models["moments"], models["exact"]
+        cfg = PWLRConfig(anchor=case.anchor, monotone=case.monotone)
+        got = fit_pwlr(case.x, case.y, config=cfg)
+        dense = functools.partial(
+            oracle_grid_sse, case.x, case.y,
+            anchor=cfg.anchor, anchor_weight=cfg.anchor_weight,
+        )
+        want, _ = _fit_pwlr_impl(case.x, case.y, cfg, grid_scorer=dense)
         for label, a, b in (
             ("breakpoints", got.breakpoints, want.breakpoints),
             ("slopes", got.slopes, want.slopes),
@@ -465,29 +464,50 @@ def _suite_pwlr_kernel(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
             d = _compare_arrays("pwlr_kernel", case.name, ctx.seed, label, a, b)
             if d:
                 out.append(d)
-    n_cases = len(cases)
+    return len(cases), out
 
-    # End-to-end: full-pipeline result JSON must be byte-identical
-    # between kernels (and under "auto", which resolves to one of them).
-    for path in ctx.trace_paths():
-        n_cases += 1
-        trace = read_trace(path)
-        rendered = {}
-        for kernel in ("moments", "exact", "auto"):
-            cfg = AnalyzerConfig(
-                pwlr=dataclasses.replace(PWLRConfig(), search_kernel=kernel)
+
+@_suite("pwlr_probe")
+def _suite_pwlr_probe(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
+    """The continuous refinement's one-breakpoint probe vs dense anchored
+    lstsq, at random positions of every breakpoint on the PWL corpus.
+
+    The probe re-derives only the two segments next to the moving
+    breakpoint and keeps the exact escape; its SSE must match
+    :func:`~repro.verify.oracles.oracle_grid_sse` at the moved
+    configuration to the ``pwlr_lstsq`` SSE tolerance.
+    """
+    from repro.fitting.pwlr import PWLRConfig, _SearchScorer
+    from repro.verify.corpus import pwl_datasets
+    from repro.verify.oracles import oracle_grid_sse
+
+    rng = np.random.default_rng(ctx.seed + 13)
+    out: List[Divergence] = []
+    cases = pwl_datasets(ctx.seed, ctx.full)
+    n_probes = 4 if ctx.full else 2
+    for case in cases:
+        cfg = PWLRConfig(anchor=case.anchor, monotone=case.monotone)
+        scorer = _SearchScorer(case.x, case.y, cfg)
+        breaks = list(case.breakpoints) or [0.5]
+        knots = [0.0] + breaks + [1.0]
+        for i in range(len(breaks)):
+            objective = scorer.probe(breaks, i)
+            positions = rng.uniform(knots[i], knots[i + 2], size=n_probes)
+            got = [objective(float(p)) for p in positions]
+            moved = np.array(
+                [breaks[:i] + [float(p)] + breaks[i + 1 :] for p in positions]
             )
-            rendered[kernel] = result_to_json(FoldingAnalyzer(cfg).analyze(trace))
-        name = os.path.basename(path)
-        for kernel in ("exact", "auto"):
-            if rendered["moments"] != rendered[kernel]:
-                out.append(
-                    Divergence(
-                        "pwlr_kernel", name, ctx.seed,
-                        f"result JSON differs: moments vs {kernel}",
-                    )
-                )
-    return n_cases, out
+            want = oracle_grid_sse(
+                case.x, case.y, moved,
+                anchor=cfg.anchor, anchor_weight=cfg.anchor_weight,
+            )
+            d = _compare_arrays(
+                "pwlr_probe", case.name, ctx.seed, f"sse[breakpoint {i}]",
+                got, want, rtol=1e-6, atol=1e-9,
+            )
+            if d:
+                out.append(d)
+    return len(cases), out
 
 
 @_suite("predict")

@@ -11,7 +11,11 @@ corpora and reports any disagreement beyond the documented tolerance
 which carry a justified tolerance).
 
 Oracles are allowed to be slow (quadratic scans, exponential matching on
-tiny inputs) — clarity over speed is the whole point.  Where an oracle
+tiny inputs) — clarity over speed is the whole point.  The one exception
+is :func:`oracle_grid_sse`, the dense reference ranking of the PWLR
+breakpoint search: the search scores thousands of configurations per
+fit, so it uses numpy's ``lstsq`` on the full design (still sharing no
+code with ``repro.fitting``).  Where an oracle
 cannot handle an input class at all (e.g. a rank-deficient design, which
 the optimized path resolves via ``lstsq`` pseudo-inverse semantics) it
 raises :class:`~repro.errors.VerificationError`; the corpus avoids those
@@ -24,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import VerificationError
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
     "oracle_fold_cluster",
     "oracle_instance_monotonicity",
     "oracle_fit_fixed_breakpoints",
+    "oracle_grid_sse",
     "oracle_predict",
     "oracle_slope_at",
     "oracle_bic",
@@ -334,6 +341,48 @@ def oracle_fit_fixed_breakpoints(
         )
         sse += (yi - pred) ** 2
     return intercept, slopes, sse
+
+
+def oracle_grid_sse(
+    x: Sequence[float],
+    y: Sequence[float],
+    configs,
+    anchor: bool = True,
+    anchor_weight: float = 0.25,
+) -> "np.ndarray":
+    """Data SSE of each breakpoint configuration, one dense fit per row.
+
+    ``configs`` is a ``(C, m)`` array of sorted interior breakpoints —
+    the grid-scorer signature of ``repro.fitting.pwlr._fit_pwlr_impl``.
+    Each row is fit the textbook way: the full ``n x (m+2)`` design of
+    an intercept plus one hinge column per segment, the (0,0)/(1,1)
+    anchor rows weighted ``anchor_weight * n`` each, solved by
+    ``np.linalg.lstsq`` with no slope constraint (the search ranks by
+    the unconstrained fit); the SSE counts data rows only.
+    """
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    rows = np.asarray(configs, dtype=float).reshape(len(configs), -1)
+    n = xs.size
+    if anchor:
+        x_fit = np.concatenate([xs, [0.0, 1.0]])
+        y_fit = np.concatenate([ys, [0.0, 1.0]])
+        sqrt_w = np.sqrt(np.concatenate([np.ones(n), [anchor_weight * n] * 2]))
+    else:
+        x_fit, y_fit, sqrt_w = xs, ys, np.ones(n)
+    out = np.empty(rows.shape[0])
+    for r, breaks in enumerate(rows):
+        knots = np.concatenate([[0.0], breaks, [1.0]])
+        columns = [np.ones_like(x_fit)] + [
+            np.clip(x_fit, lo, hi) - lo for lo, hi in zip(knots[:-1], knots[1:])
+        ]
+        design = np.column_stack(columns)
+        coeffs = np.linalg.lstsq(
+            design * sqrt_w[:, None], y_fit * sqrt_w, rcond=None
+        )[0]
+        residuals = ys - design[:n] @ coeffs
+        out[r] = residuals @ residuals
+    return out
 
 
 def oracle_predict(model, x: float) -> float:

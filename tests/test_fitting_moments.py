@@ -1,7 +1,8 @@
-"""Moments search kernel: property tests, degenerate-geometry fallback,
-kernel equivalence, memoization and the batched multi-counter refit."""
+"""Moments scoring: property tests, the refinement probe, degenerate
+geometries, parity with a dense least-squares ranking, the legacy
+``search_kernel`` config key and the batched multi-counter refit."""
 
-import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from repro.fitting.moments import MomentProfile
 from repro.fitting.pwlr import (
     PWLRConfig,
     _SearchScorer,
-    fit_fixed_breakpoints,
+    _best_addition,
+    _fit_pwlr_impl,
     fit_pwlr,
     refit_slopes,
     refit_slopes_many,
 )
 from repro.observability.context import Observability
+from repro.verify.oracles import oracle_grid_sse
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +105,25 @@ class TestMomentProfileMath:
         assert a[1] == b[1]
         assert np.array_equal(a[0], b[0])
 
+    @given(moment_cases(), st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_probe_matches_full_evaluation(self, case, fraction):
+        """Moving one breakpoint through the probe gives bit-for-bit the
+        full evaluation of the moved configuration."""
+        x, y, w, breaks, anchor, weighted = case
+        if not breaks:
+            breaks = [0.5]
+        profile = MomentProfile(x, y, weights=w if weighted else None, anchor=anchor)
+        knots = [0.0] + breaks + [1.0]
+        for i in range(len(breaks)):
+            at = profile.probe(breaks, i)
+            for position in (knots[i] + fraction * (knots[i + 2] - knots[i]), breaks[i]):
+                moved = breaks[:i] + [position] + breaks[i + 1 :]
+                _, want_sse, want_ok = profile.evaluate_one(moved)
+                got_sse, got_ok = at(position)
+                assert got_ok == want_ok
+                assert np.array_equal(got_sse, want_sse, equal_nan=True)
+
     def test_near_interpolating_fit_is_flagged_not_ok(self):
         """Noiseless PWL data at its true breakpoints: the quadratic form
         is pure cancellation noise, so the row must escape to exact."""
@@ -136,56 +158,35 @@ class TestMomentProfileMath:
             )
 
 
+def _dense_fit(x, y, cfg=None):
+    """The search with its grid ranked by the dense oracle scorer."""
+    cfg = cfg or PWLRConfig()
+    dense = functools.partial(
+        oracle_grid_sse, x, y, anchor=cfg.anchor, anchor_weight=cfg.anchor_weight
+    )
+    return _fit_pwlr_impl(x, y, cfg, grid_scorer=dense)
+
+
+def _assert_same_model(a, b):
+    assert np.array_equal(a.breakpoints, b.breakpoints)
+    assert np.array_equal(a.slopes, b.slopes)
+    assert a.intercept == b.intercept
+    assert a.sse == b.sse
+
+
 class TestKernelSelection:
     def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(FittingError):
+        """The ranking is not configurable: there is one scoring path."""
+        with pytest.raises(TypeError):
             PWLRConfig(search_kernel="fast")
-
-    def test_auto_small_series_uses_exact(self):
-        rng = np.random.default_rng(0)
-        x = np.sort(rng.uniform(0, 1, 200))
-        y = x + rng.normal(0, 0.01, 200)
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "exact"
-
-    def test_auto_large_series_uses_moments(self):
-        rng = np.random.default_rng(0)
-        x = np.sort(rng.uniform(0, 1, 2000))
-        y = x + rng.normal(0, 0.01, 2000)
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "moments"
-
-    def test_auto_degenerate_duplicate_x_falls_back_to_exact(self):
-        """n is large enough for moments, but only 30 distinct abscissae
-        — "auto" must stay on the exact path (and say so in metrics)."""
-        rng = np.random.default_rng(1)
-        x = np.repeat(np.linspace(0.0, 1.0, 30), 20)
-        y = x + rng.normal(0, 0.01, x.size)
-        assert x.size >= 512
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "exact"
-        obs = Observability(collect_rss=False)
-        with obs.activate():
-            fit_pwlr(x, y)
-        snap = obs.metrics.snapshot()
-        assert snap.get("pwlr.kernel.exact") == 1
-        assert "pwlr.kernel.moments" not in snap
-
-    def test_auto_nonfinite_input_falls_back_to_exact(self):
-        x = np.sort(np.random.default_rng(2).uniform(0, 1, 600))
-        y = x.copy()
-        y[5] = np.nan
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "exact"
-
-    def test_forced_kernel_wins_over_auto_heuristics(self):
-        rng = np.random.default_rng(3)
-        x = np.sort(rng.uniform(0, 1, 100))
-        y = x + rng.normal(0, 0.01, 100)
-        assert _SearchScorer(x, y, PWLRConfig(search_kernel="moments")).kernel == (
-            "moments"
-        )
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("n", [200, 1500])
     def test_kernels_select_identical_models(self, n):
+        """Moments ranking and dense per-candidate ranking select the
+        same model, below and above the size the removed "auto" kernel
+        switched at."""
         rng = np.random.default_rng(7)
         x = np.sort(rng.uniform(0.0, 1.0, n))
         knots = np.array([0.0, 0.3, 0.7, 1.0])
@@ -193,64 +194,104 @@ class TestKernelEquivalence:
         vals = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
         idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, 2)
         y = vals[idx] + slopes[idx] * (x - knots[idx]) + rng.normal(0, 0.01, n)
-        fits = {
-            kernel: fit_pwlr(x, y, PWLRConfig(search_kernel=kernel))
-            for kernel in ("moments", "exact")
-        }
-        a, b = fits["moments"], fits["exact"]
-        assert np.array_equal(a.breakpoints, b.breakpoints)
-        assert np.array_equal(a.slopes, b.slopes)
-        assert a.intercept == b.intercept
-        assert a.sse == b.sse
+        want, _ = _dense_fit(x, y)
+        _assert_same_model(fit_pwlr(x, y), want)
 
     def test_candidate_evaluations_kernel_independent(self):
         rng = np.random.default_rng(11)
         x = np.sort(rng.uniform(0.0, 1.0, 900))
         y = np.minimum(x * 2.0, 0.6 + 0.5 * x) + rng.normal(0, 0.02, 900)
-        counts = {}
-        for kernel in ("moments", "exact"):
-            obs = Observability(collect_rss=False)
-            with obs.activate():
-                fit_pwlr(x, y, PWLRConfig(search_kernel=kernel))
-            counts[kernel] = obs.metrics.snapshot()["pwlr.candidate_evaluations"]
-        assert counts["moments"] == counts["exact"]
-
-    def test_search_cache_hits_published(self):
-        rng = np.random.default_rng(13)
-        x = np.sort(rng.uniform(0.0, 1.0, 600))
-        y = x**2 + rng.normal(0, 0.02, 600)
         obs = Observability(collect_rss=False)
         with obs.activate():
-            fit_pwlr(x, y, PWLRConfig(search_kernel="moments"))
-        snap = obs.metrics.snapshot()
-        assert snap["pwlr.search_cache_hits"] > 0
-        assert snap["pwlr.kernel.moments"] == 1
+            fit_pwlr(x, y)
+        _, dense_scorer = _dense_fit(x, y)
+        published = obs.metrics.snapshot()["pwlr.candidate_evaluations"]
+        assert published == dense_scorer.n_evals > 0
+
+    def test_duplicate_x_matches_dense_ranking(self):
+        """Only 30 distinct abscissae for up to 13 parameters: the
+        geometry "auto" used to keep off the moments path selects the
+        same model as the dense ranking."""
+        rng = np.random.default_rng(1)
+        x = np.repeat(np.linspace(0.0, 1.0, 30), 20)
+        y = x + rng.normal(0, 0.01, x.size)
+        want, _ = _dense_fit(x, y)
+        _assert_same_model(fit_pwlr(x, y), want)
+
+    def test_nonfinite_input_matches_dense_ranking(self):
+        """A NaN sample makes every moments row unreliable: each escapes
+        to the dense fit, no breakpoint is selected under either ranking,
+        and the final fit rejects the input the same way."""
+        x = np.sort(np.random.default_rng(2).uniform(0, 1, 600))
+        y = x.copy()
+        y[5] = np.nan
+        cfg = PWLRConfig()
+        grid = np.linspace(cfg.min_separation, 1 - cfg.min_separation, cfg.n_candidates)
+        moments_sse = _SearchScorer(x, y, cfg).grid(grid[:, None])
+        dense_sse = oracle_grid_sse(x, y, grid[:, None])
+        assert np.isnan(moments_sse).all() and np.isnan(dense_sse).all()
+        assert _best_addition(lambda c: dense_sse, [], grid, cfg.min_separation) is None
+        assert (
+            _best_addition(lambda c: moments_sse, [], grid, cfg.min_separation)
+            is None
+        )
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_pwlr(x, y)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _dense_fit(x, y)
 
 
 class TestFingerprintInvariance:
     def test_search_kernel_excluded_from_fingerprint(self):
+        """A stored config carrying the legacy key fingerprints like the
+        default config."""
         from repro.analysis.pipeline import AnalyzerConfig
-        from repro.store.fingerprint import fingerprint_config
-
-        digests = {
-            kernel: fingerprint_config(
-                AnalyzerConfig(
-                    pwlr=dataclasses.replace(PWLRConfig(), search_kernel=kernel)
-                )
-            )
-            for kernel in ("auto", "moments", "exact")
-        }
-        assert len(set(digests.values())) == 1
-        assert digests["auto"] == fingerprint_config(AnalyzerConfig())
-
-    def test_stored_config_roundtrips_search_kernel(self):
-        from repro.analysis.pipeline import AnalyzerConfig
-        from repro.store.fingerprint import config_from_dict, config_to_dict
-
-        cfg = AnalyzerConfig(
-            pwlr=dataclasses.replace(PWLRConfig(), search_kernel="exact")
+        from repro.store.fingerprint import (
+            config_fingerprint_dict,
+            config_from_dict,
+            config_to_dict,
+            fingerprint_config,
         )
-        assert config_from_dict(config_to_dict(cfg)).pwlr.search_kernel == "exact"
+
+        for kernel in ("auto", "moments", "exact"):
+            data = config_to_dict(AnalyzerConfig())
+            data["pwlr"]["search_kernel"] = kernel
+            loaded = config_from_dict(data)
+            assert fingerprint_config(loaded) == fingerprint_config(AnalyzerConfig())
+            assert "search_kernel" not in config_fingerprint_dict(loaded)["pwlr"]
+
+    def test_stored_config_drops_legacy_search_kernel(self, tmp_path):
+        """``search_kernel`` in a stored config and in a stream checkpoint
+        is accepted and dropped; other unknown PWLR keys still fail."""
+        from repro.analysis.pipeline import AnalyzerConfig
+        from repro.errors import ConfigurationError
+        from repro.store.fingerprint import config_from_dict, config_to_dict
+        from repro.stream.checkpoint import resume_engine, save_checkpoint
+        from repro.stream.engine import StreamConfig, StreamEngine
+        from repro.stream.source import TraceTailSource
+
+        data = config_to_dict(AnalyzerConfig())
+        data["pwlr"]["search_kernel"] = "exact"
+        assert config_from_dict(data) == AnalyzerConfig()
+        data["pwlr"]["not_a_knob"] = 1
+        with pytest.raises(ConfigurationError, match="not_a_knob"):
+            config_from_dict(data)
+
+        trace = tmp_path / "empty.rpt"
+        trace.write_text("")
+        engine = StreamEngine(StreamConfig())
+        state = engine.state_to_dict()
+        state["config"]["analyzer"]["pwlr"]["search_kernel"] = "exact"
+        engine.state_to_dict = lambda: state
+        source = TraceTailSource(str(trace))
+        checkpoint = str(tmp_path / "legacy.ckpt")
+        save_checkpoint(checkpoint, engine, source)
+        source.close()
+        resumed, source = resume_engine(
+            checkpoint, str(trace), expected_config=StreamConfig()
+        )
+        source.close()
+        assert resumed.config == StreamConfig()
 
 
 class TestRefitSlopesMany:

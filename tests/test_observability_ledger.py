@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import numpy
+import scipy
+
 from repro.observability import (
     LEDGER_FORMAT,
     Observability,
@@ -91,8 +94,14 @@ class TestRecordSchema:
 
     def test_host_info_shape(self):
         info = host_info()
-        assert set(info) == {"node", "platform", "python", "pid", "blas_threads"}
+        assert set(info) == {
+            "node", "platform", "python", "pid", "numpy", "scipy", "blas",
+            "blas_threads",
+        }
         assert isinstance(info["pid"], int)
+        assert info["numpy"] == numpy.__version__
+        assert info["scipy"] == scipy.__version__
+        assert isinstance(info["blas"], str) and info["blas"]
         assert set(info["blas_threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
         }

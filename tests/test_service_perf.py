@@ -9,8 +9,7 @@ from repro.service import check_history, fit_duration_series, stage_series
 from repro.service.perf import (
     MIN_RUNS,
     TOTAL_STAGE,
-    kernel_history,
-    kernel_shift_note,
+    environment_changes,
     segment_levels,
 )
 
@@ -135,44 +134,48 @@ class TestCheckHistory:
         assert report.verdicts == []
 
 
-class TestKernelAttribution:
-    def _with_kernel(self, records, labels):
-        counter = {"moments": "pwlr.kernel.moments", "exact": "pwlr.kernel.exact"}
-        for record, label in zip(records, labels):
-            if label == "mixed":
-                record["metrics"] = {
-                    "pwlr.kernel.moments": 2, "pwlr.kernel.exact": 1
+class TestEnvironmentAttribution:
+    def _with_env(self, records, envs):
+        for record, env in zip(records, envs):
+            if env is not None:
+                numpy_version, blas = env
+                record["host"] = {
+                    "node": "n", "numpy": numpy_version, "scipy": "1.17.1",
+                    "blas": blas,
                 }
-            elif label in counter:
-                record["metrics"] = {counter[label]: 3}
         return records
 
-    def test_kernel_history_labels(self):
-        records = self._with_kernel(
-            _history({"fit": [1.0] * 4}),
-            ["exact", "moments", "mixed", "-"],
-        )
-        assert kernel_history(records) == ["exact", "moments", "mixed", "-"]
+    def test_changes_listed_at_the_run_they_happen(self):
+        envs = [("1.26.4", "openblas 0.3.27")] * 2 + [None] + [
+            ("2.4.6", "openblas 0.3.27"),
+            ("2.4.6", "scipy-openblas 0.3.31"),
+        ]
+        records = self._with_env(_history({"fit": [1.0] * 5}), envs)
+        assert environment_changes(records) == [
+            (4, "numpy 1.26.4->2.4.6"),
+            (5, "blas openblas 0.3.27->scipy-openblas 0.3.31"),
+        ]
+        assert environment_changes(_history({"fit": [1.0] * 3})) == []
 
-    def test_shift_note_uniform_and_transition(self):
-        uniform = self._with_kernel(
-            _history({"fit": [1.0] * 3}), ["moments"] * 3
-        )
-        assert "moments for all 3 run(s)" in kernel_shift_note(uniform)
-        shifted = self._with_kernel(
-            _history({"fit": [1.0] * 4}),
-            ["exact", "exact", "moments", "moments"],
-        )
-        note = kernel_shift_note(shifted)
-        assert "exact (runs 1-2)" in note and "moments (runs 3-4)" in note
-        assert kernel_shift_note(_history({"fit": [1.0] * 2})) == ""
-
-    def test_fit_stage_verdict_annotated_on_kernel_change(self):
+    def test_level_shift_at_environment_change_is_tagged(self):
         walls = {"fit_pwlr": [1.0] * 8 + [2.0] * 8, "fold": [1.0] * 16}
-        records = self._with_kernel(
-            _history(walls), ["exact"] * 8 + ["moments"] * 8
-        )
-        report = check_history(records)
+        envs = [("1.26.4", "openblas 0.3.27")] * 8 + [
+            ("2.4.6", "openblas 0.3.27")
+        ] * 8
+        report = check_history(self._with_env(_history(walls), envs))
         by_stage = {v.stage: v for v in report.verdicts}
-        assert "search kernel exact->moments at run 9" in by_stage["fit_pwlr"].note
-        assert "search kernel" not in by_stage["fold"].note
+        shifted = by_stage["fit_pwlr"]
+        assert shifted.regressed
+        assert shifted.breakpoint_run == 9
+        assert "environment changed at run 9: numpy 1.26.4->2.4.6" in shifted.note
+        assert "environment" not in by_stage["fold"].note
+
+    def test_level_shift_away_from_environment_change_is_not_tagged(self):
+        walls = {"fit_pwlr": [1.0] * 8 + [2.0] * 8}
+        envs = [("1.26.4", "openblas 0.3.27")] * 3 + [
+            ("2.4.6", "openblas 0.3.27")
+        ] * 13
+        report = check_history(self._with_env(_history(walls), envs))
+        verdict = {v.stage: v for v in report.verdicts}["fit_pwlr"]
+        assert verdict.regressed
+        assert "environment" not in verdict.note

@@ -305,6 +305,27 @@ class TestStreamEngine:
         snapshot = obs.metrics.snapshot()
         assert any(name.startswith("stream.live.") for name in snapshot)
 
+    def test_refit_cost_reported(self, multiphase_trace_file):
+        obs = Observability()
+        with obs.activate():
+            engine = StreamEngine(StreamConfig(refit_every=8))
+            source = TraceTailSource(multiphase_trace_file)
+            for chunk in source.drain():
+                engine.process_text(chunk)
+            source.close()
+        report = engine.report()
+        assert report.n_refits > 0
+        assert report.refit_s > 0.0
+        assert report.refits_per_1k_bursts == round(
+            1000.0 * report.n_refits / report.n_bursts, 3
+        )
+        assert obs.metrics.snapshot()["stream.live.refit_seconds"] == report.refit_s
+        # a timing: outside the deterministic view that resume parity compares
+        assert "refit_s" not in report.to_dict()
+        assert "per 1k bursts" in report.render()
+        resumed = StreamEngine.from_state(engine.state_to_dict())
+        assert resumed.report().refit_s == report.refit_s
+
     def test_live_follow_of_growing_file(self, multiphase_trace, tmp_path):
         path = str(tmp_path / "live.rpt")
         trace = multiphase_trace
@@ -370,6 +391,11 @@ class TestWatchCli:
         assert document["format"] == "repro-watch/1"
         assert document["reason"] == "idle"
         assert document["stream"]["finalized"] is True
+        stream = document["stream"]
+        assert stream["refit_s"] >= 0.0
+        assert stream["refits_per_1k_bursts"] == round(
+            1000.0 * stream["n_refits"] / stream["n_bursts"], 3
+        )
         batch = FoldingAnalyzer().analyze(read_trace(multiphase_trace_file))
         assert document["result"] == json.loads(
             json.dumps(result_to_dict(batch))
