@@ -12,7 +12,6 @@ FIG-4 compares.  :mod:`repro.fitting.evaluation` scores any fit against the
 machine model's exact ground truth.
 """
 
-from repro.fitting.linear import weighted_lstsq
 from repro.fitting.moments import MomentProfile
 from repro.fitting.pwlr import (
     PiecewiseLinearModel,
@@ -27,7 +26,6 @@ from repro.fitting.kernel_smooth import KernelSmoother, smoother_breakpoints
 from repro.fitting.evaluation import FitEvaluation, evaluate_fit
 
 __all__ = [
-    "weighted_lstsq",
     "MomentProfile",
     "PiecewiseLinearModel",
     "PWLRConfig",

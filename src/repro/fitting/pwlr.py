@@ -33,14 +33,13 @@ least-squares scorer ranks the grid instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar, nnls
 
 from repro.errors import FittingError
-from repro.fitting.linear import weighted_lstsq
 from repro.fitting import model_selection
 from repro.fitting.moments import MomentProfile
 from repro.observability.context import counter as _metric_counter
@@ -64,7 +63,7 @@ def _evaluate_pwl(
 
     Single source of the evaluation arithmetic shared by
     :meth:`PiecewiseLinearModel.predict` and the post-fit residual pass
-    in :func:`fit_fixed_breakpoints` — both must produce bit-identical
+    in :func:`_fit_at_breakpoints` — both must produce bit-identical
     values for the reported data SSE to match a later re-prediction.
     """
     values = intercept + np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
@@ -173,11 +172,6 @@ class PiecewiseLinearModel:
             for i in range(self.n_segments)
         ]
 
-    @property
-    def rmse(self) -> float:
-        """Root mean squared error on the fitting data."""
-        return float(np.sqrt(self.sse / self.n_points)) if self.n_points else 0.0
-
 
 @dataclass(frozen=True)
 class PWLRConfig:
@@ -249,38 +243,108 @@ class PWLRConfig:
 # ----------------------------------------------------------------------
 # fixed-breakpoint fit
 # ----------------------------------------------------------------------
-def _segment_basis(x: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
-    """Column j = length of segment j intersected with [0, x].
-
-    With this parameterization the coefficient of column j *is* the slope
-    of segment j, which makes the monotonicity constraint a plain
-    non-negativity constraint.
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``argmin ||a x - b||`` subject to ``x >= 0``, for the small square
+    systems of the anchored fit: the unconstrained least-squares solution
+    when it is feasible, else the Lawson–Hanson active set (counted by
+    ``pwlr.nnls_active_set``).  Non-finite input raises ``ValueError``.
     """
-    knots = np.concatenate([[0.0], breakpoints, [1.0]])
-    lo = knots[:-1]
-    hi = knots[1:]
-    return np.clip(x[:, None], lo[None, :], hi[None, :]) - lo[None, :]
+    a = np.asarray_chkfinite(a, dtype=float)
+    b = np.asarray_chkfinite(b, dtype=float)
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.all(x >= 0.0):
+        return x
+    _metric_counter("pwlr.nnls_active_set").inc()
+    n = a.shape[1]
+    tol = 10.0 * max(a.shape) * np.finfo(float).eps * np.abs(a).max() * np.abs(b).max()
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        gradient = a.T @ (b - a @ x)
+        gradient[passive] = -np.inf
+        entering = int(np.argmax(gradient))
+        if gradient[entering] <= tol:
+            return x
+        passive[entering] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            blocking = passive & (z <= 0.0)
+            if not blocking.any():
+                x = z
+                break
+            # Step from x towards z until the first blocking coefficient
+            # reaches zero, and move it to the active set.
+            idx = np.flatnonzero(blocking)
+            ratios = x[idx] / np.maximum(x[idx] - z[idx], np.finfo(float).tiny)
+            stop = idx[np.argmin(ratios)]
+            x = x + ratios.min() * (z - x)
+            x[stop] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    raise FittingError(f"active-set NNLS did not converge in {3 * n} iterations")
 
 
-def _finish_model(
+def _fit_at_breakpoints(
     x: np.ndarray,
-    y: np.ndarray,
-    bp: np.ndarray,
-    intercept: float,
-    slopes: np.ndarray,
-) -> PiecewiseLinearModel:
-    """Assemble the fitted model, reporting the *data* SSE (anchors
-    excluded) so BIC compares models on the same likelihood."""
-    slopes = np.asarray(slopes, dtype=float)
+    ys: Sequence[np.ndarray],
+    breakpoints: Sequence[float],
+    anchor: bool,
+    anchor_weight: float,
+    monotone: bool,
+) -> List[PiecewiseLinearModel]:
+    """Anchored continuous PWL fit of each of ``ys`` at shared breakpoints.
+
+    One thin QR of the sqrt-weighted ``[1 | segment basis]`` design turns
+    each target into the (k+2)-square system ``(R, Qᵀy)``: slopes from its
+    trailing block (through :func:`nnls` when ``monotone``), the free
+    intercept from its first row.  Targets are solved one at a time, so
+    none depends on which others share its batch.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise FittingError(f"x must be a 1-D array: {x.shape}")
+    targets = [np.asarray(yy, dtype=float) for yy in ys]
+    for yy in targets:
+        if yy.shape != x.shape:
+            raise FittingError(
+                f"x/y must be equal-length 1-D arrays: {x.shape} vs {yy.shape}"
+            )
+    if x.size < 2:
+        raise FittingError(f"need at least 2 points to fit, got {x.size}")
+    bp = np.sort(np.asarray(breakpoints, dtype=float))
+    if bp.size and (bp[0] <= 0.0 or bp[-1] >= 1.0):
+        raise FittingError(f"breakpoints must be interior to (0,1): {bp}")
+
+    n = x.size
+    if anchor:
+        w_anchor = anchor_weight * n
+        x_fit = np.concatenate([x, [0.0, 1.0]])
+        sqrt_w = np.sqrt(np.concatenate([np.ones(n), [w_anchor, w_anchor]]))
+    else:
+        x_fit, sqrt_w = x, np.ones(n)
     knots = np.concatenate([[0.0], bp, [1.0]])
-    residuals = y - _evaluate_pwl(knots, slopes, intercept, x)
-    return PiecewiseLinearModel(
-        breakpoints=bp,
-        slopes=slopes,
-        intercept=intercept,
-        sse=float(residuals @ residuals),
-        n_points=int(x.size),
-    )
+    # Column j + 1 is the length of segment j inside [0, x]: its
+    # coefficient is that segment's slope, so monotone means slopes >= 0.
+    basis = np.clip(x_fit[:, None], knots[:-1], knots[1:]) - knots[:-1]
+    design = np.column_stack([np.ones_like(x_fit), basis])
+    q, r = np.linalg.qr(design * sqrt_w[:, None])
+
+    out: List[PiecewiseLinearModel] = []
+    for yy in targets:
+        y_fit = np.concatenate([yy, [0.0, 1.0]]) if anchor else yy
+        qty = q.T @ (y_fit * sqrt_w)
+        if monotone:
+            slopes = nnls(r[1:, 1:], qty[1:])
+        else:  # minimum-norm when a segment without samples makes r singular
+            slopes = np.linalg.lstsq(r[1:, 1:], qty[1:], rcond=None)[0]
+        intercept = float((qty[0] - r[0, 1:] @ slopes) / r[0, 0])
+        # The *data* SSE (anchors excluded), so BIC compares models on
+        # the same likelihood.
+        residuals = yy - _evaluate_pwl(knots, slopes, intercept, x)
+        sse = float(residuals @ residuals)
+        out.append(PiecewiseLinearModel(bp, slopes, intercept, sse, int(x.size)))
+    return out
 
 
 def fit_fixed_breakpoints(
@@ -296,39 +360,7 @@ def fit_fixed_breakpoints(
     ``anchor_weight`` is the fraction of the total sample weight assigned
     to *each* of the two pseudo-points (0,0) and (1,1).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise FittingError(f"x/y must be equal-length 1-D arrays: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise FittingError(f"need at least 2 points to fit, got {x.size}")
-    bp = np.sort(np.asarray(breakpoints, dtype=float))
-    if bp.size and (bp[0] <= 0.0 or bp[-1] >= 1.0):
-        raise FittingError(f"breakpoints must be interior to (0,1): {bp}")
-
-    n = x.size
-    if anchor:
-        w_anchor = anchor_weight * n
-        x_fit = np.concatenate([x, [0.0, 1.0]])
-        y_fit = np.concatenate([y, [0.0, 1.0]])
-        weights = np.concatenate([np.ones(n), [w_anchor, w_anchor]])
-    else:
-        x_fit, y_fit, weights = x, y, np.ones(n)
-
-    basis = _segment_basis(x_fit, bp)
-    if monotone:
-        # NNLS with a free intercept: a = a_plus - a_minus, both >= 0.
-        design = np.column_stack([np.ones_like(x_fit), -np.ones_like(x_fit), basis])
-        sqrt_w = np.sqrt(weights)
-        coeffs, _ = nnls(design * sqrt_w[:, None], y_fit * sqrt_w)
-        intercept = float(coeffs[0] - coeffs[1])
-        slopes = coeffs[2:]
-    else:
-        design = np.column_stack([np.ones_like(x_fit), basis])
-        coeffs, _ = weighted_lstsq(design, y_fit, weights)
-        intercept = float(coeffs[0])
-        slopes = coeffs[1:]
-    return _finish_model(x, y, bp, intercept, slopes)
+    return _fit_at_breakpoints(x, [y], breakpoints, anchor, anchor_weight, monotone)[0]
 
 
 # ----------------------------------------------------------------------
@@ -619,14 +651,82 @@ def _continuous_refine(
             objective = probe(breaks, i)
             if current_sse is None:
                 current_sse = objective(breaks[i])
-            result = minimize_scalar(
-                objective, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
-            )
-            if result.fun <= current_sse:
-                breaks[i] = float(result.x)
-                current_sse = float(result.fun)
+            x_best, sse_best = _bounded_brent(objective, lo, hi, xatol=xatol)
+            if sse_best <= current_sse:
+                breaks[i] = float(x_best)
+                current_sse = float(sse_best)
         breaks.sort()
     return breaks, current_sse
+
+
+def _bounded_brent(
+    func: Callable[[float], float],
+    lo: float,
+    hi: float,
+    xatol: float = 1e-5,
+    maxiter: int = 500,
+) -> Tuple[float, float]:
+    """Brent's bounded minimization of ``func`` on ``[lo, hi]``; returns
+    ``(x, func(x))``.  A port of scipy's ``minimize_scalar(method=
+    "bounded")`` with the same arithmetic and evaluated points, so the
+    same result bit for bit (``TestBoundedBrent`` compares the two)."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        parabolic = False
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                parabolic = True
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + (xm - xf == 0))
+        if not parabolic:  # golden-section step
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx
 
 
 def _drop_narrowest_sliver(
@@ -691,64 +791,18 @@ def refit_slopes_many(
     """Batched :func:`refit_slopes`: many counters sharing one abscissa.
 
     The phase pipeline re-estimates *every* counter's slopes at the same
-    shared boundaries; calling :func:`refit_slopes` per counter rebuilds
-    an identical design matrix (segment basis + anchor rows + weight
-    scaling) each time.  This factors the design once: the monotone path
-    then runs one NNLS per counter against the shared pre-scaled design
-    — **bit-identical** to the per-counter path — and the unconstrained
-    path solves every counter at once through a precomputed
-    pseudo-inverse of the scaled design (equal within solver roundoff).
+    shared boundaries.  The design (segment basis + anchor rows + weight
+    scaling) and its QR factor are built once per batch; each counter is
+    then solved on its own through the same small system as
+    :func:`refit_slopes`, so the batch is **bit-identical** to the
+    per-counter path in both the monotone and the unconstrained case.
 
     Returns one fitted model per entry of ``ys``, in order.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise FittingError(f"x must be a 1-D array: {x.shape}")
-    if x.size < 2:
-        raise FittingError(f"need at least 2 points to fit, got {x.size}")
-    targets = [np.asarray(yy, dtype=float) for yy in ys]
-    for yy in targets:
-        if yy.shape != x.shape:
-            raise FittingError(
-                f"x/y must be equal-length 1-D arrays: {x.shape} vs {yy.shape}"
-            )
-    if not targets:
-        return []
-    bp = np.sort(np.asarray(model.breakpoints, dtype=float))
-    if bp.size and (bp[0] <= 0.0 or bp[-1] >= 1.0):
-        raise FittingError(f"breakpoints must be interior to (0,1): {bp}")
-
-    n = x.size
-    if anchor:
-        w_anchor = anchor_weight * n
-        x_fit = np.concatenate([x, [0.0, 1.0]])
-        weights = np.concatenate([np.ones(n), [w_anchor, w_anchor]])
-    else:
-        x_fit, weights = x, np.ones(n)
-    basis = _segment_basis(x_fit, bp)
-    sqrt_w = np.sqrt(weights)
-
-    def target_vector(yy: np.ndarray) -> np.ndarray:
-        return np.concatenate([yy, [0.0, 1.0]]) if anchor else yy
-
-    _metric_counter("pwlr.refits").inc(len(targets))
-    _metric_counter("pwlr.refit_batches").inc()
-
-    out: List[PiecewiseLinearModel] = []
-    if monotone:
-        design = np.column_stack([np.ones_like(x_fit), -np.ones_like(x_fit), basis])
-        scaled = design * sqrt_w[:, None]
-        for yy in targets:
-            coeffs, _ = nnls(scaled, target_vector(yy) * sqrt_w)
-            out.append(
-                _finish_model(x, yy, bp, float(coeffs[0] - coeffs[1]), coeffs[2:])
-            )
-    else:
-        design = np.column_stack([np.ones_like(x_fit), basis])
-        scaled = design * sqrt_w[:, None]
-        pseudo_inverse = np.linalg.pinv(scaled)
-        stacked = np.stack([target_vector(yy) for yy in targets], axis=1)
-        coeffs = pseudo_inverse @ (stacked * sqrt_w[:, None])
-        for j, yy in enumerate(targets):
-            out.append(_finish_model(x, yy, bp, float(coeffs[0, j]), coeffs[1:, j]))
-    return out
+    models = _fit_at_breakpoints(
+        x, ys, model.breakpoints, anchor, anchor_weight, monotone
+    )
+    if models:
+        _metric_counter("pwlr.refits").inc(len(models))
+        _metric_counter("pwlr.refit_batches").inc()
+    return models

@@ -23,7 +23,6 @@ import time
 from typing import Dict, List, Optional
 
 import numpy
-import scipy
 
 from repro import BLAS_THREAD_VARS
 from repro.observability.spans import Profile
@@ -43,19 +42,32 @@ def _blas_vendor() -> str:
     return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
 
+def _installed_version(distribution: str) -> Optional[str]:
+    """Installed version of ``distribution`` without importing it
+    (``None`` when it is not installed)."""
+    from importlib import metadata
+
+    try:
+        return metadata.version(distribution)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def host_info() -> Dict[str, object]:
     """Where this run happened: node, platform, python, pid, the
-    numpy/scipy versions and BLAS vendor, and the BLAS/OpenMP thread
-    variables as set after ``import repro`` (``None`` for an unset one),
-    so a level shift can be told apart from a change of the
-    linear-algebra environment (see ``repro perf check``)."""
+    numpy/scipy versions (scipy ``None`` when it is not installed; it is
+    read from the package metadata, not imported) and BLAS vendor, and
+    the BLAS/OpenMP thread variables as set after ``import repro``
+    (``None`` for an unset one), so a level shift can be told apart from
+    a change of the linear-algebra environment (see ``repro perf
+    check``)."""
     return {
         "node": platform.node(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "pid": os.getpid(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _installed_version("scipy"),
         "blas": _blas_vendor(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }

@@ -6,7 +6,8 @@ OpenMetrics text exposition format — counters as ``*_total``, gauges
 plain, histograms with cumulative ``le`` buckets — terminated by
 ``# EOF``, so any Prometheus-compatible scraper can ingest a batch run's
 metrics.  :class:`TelemetryServer` serves that rendering from a stdlib
-``http.server`` daemon thread (``repro batch --metrics-port N``):
+``http.server`` daemon thread (``repro batch --metrics-port N``; the
+``http.server`` import waits until a server starts):
 ``/metrics`` for the scrape, ``/healthz`` for a JSON view of live job
 states fed by a :class:`~repro.observability.events.JobStateTracker`.
 
@@ -16,10 +17,10 @@ and the CI smoke step use to hold the rendering to the format.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
 from repro.errors import ReproError
@@ -155,47 +156,54 @@ def validate_openmetrics(text: str) -> Dict[str, str]:
     return families
 
 
-class _ScrapeHandler(BaseHTTPRequestHandler):
-    """Request handler behind :class:`TelemetryServer` (internal)."""
+@functools.lru_cache(maxsize=None)
+def _server_class() -> type:
+    """The scrape endpoint's HTTP server class, built on first use so that
+    importing this module does not import ``http.server``."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    # Set by _TelemetryHTTPServer; typed here for clarity.
-    server: "_TelemetryHTTPServer"
+    class _ScrapeHandler(BaseHTTPRequestHandler):
+        """Request handler behind :class:`TelemetryServer` (internal)."""
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        """Serve ``/metrics`` (OpenMetrics) and ``/healthz`` (JSON)."""
-        if self.path.split("?", 1)[0] == "/metrics":
-            body = render_openmetrics(self.server.registry).encode()
-            content_type = (
-                "application/openmetrics-text; version=1.0.0; charset=utf-8"
-            )
-        elif self.path.split("?", 1)[0] == "/healthz":
-            tracker = self.server.tracker
-            payload = tracker.snapshot() if tracker is not None else {}
-            payload["status"] = "ok"
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-            content_type = "application/json"
-        else:
-            self.send_error(404, "unknown path (try /metrics or /healthz)")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Set by _TelemetryHTTPServer; typed here for clarity.
+        server: "_TelemetryHTTPServer"
 
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Silence per-request stderr logging."""
+        def do_GET(self) -> None:  # noqa: N802 — http.server API
+            """Serve ``/metrics`` (OpenMetrics) and ``/healthz`` (JSON)."""
+            if self.path.split("?", 1)[0] == "/metrics":
+                body = render_openmetrics(self.server.registry).encode()
+                content_type = (
+                    "application/openmetrics-text; version=1.0.0; charset=utf-8"
+                )
+            elif self.path.split("?", 1)[0] == "/healthz":
+                tracker = self.server.tracker
+                payload = tracker.snapshot() if tracker is not None else {}
+                payload["status"] = "ok"
+                body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+                content_type = "application/json"
+            else:
+                self.send_error(404, "unknown path (try /metrics or /healthz)")
+                return
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
+        def log_message(self, format: str, *args: object) -> None:  # noqa: A002
+            """Silence per-request stderr logging."""
 
-class _TelemetryHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the registry/tracker for handlers."""
+    class _TelemetryHTTPServer(ThreadingHTTPServer):
+        """ThreadingHTTPServer carrying the registry/tracker for handlers."""
 
-    daemon_threads = True
+        daemon_threads = True
 
-    def __init__(self, address, registry, tracker) -> None:
-        super().__init__(address, _ScrapeHandler)
-        self.registry = registry
-        self.tracker = tracker
+        def __init__(self, address, registry, tracker) -> None:
+            super().__init__(address, _ScrapeHandler)
+            self.registry = registry
+            self.tracker = tracker
+
+    return _TelemetryHTTPServer
 
 
 class TelemetryServer:
@@ -217,7 +225,7 @@ class TelemetryServer:
         self.tracker = tracker
         self.host = host
         self.port = port
-        self._server: Optional[_TelemetryHTTPServer] = None
+        self._server = None
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> int:
@@ -225,7 +233,7 @@ class TelemetryServer:
         if self._server is not None:
             return self.port
         try:
-            self._server = _TelemetryHTTPServer(
+            self._server = _server_class()(
                 (self.host, self.port), self.registry, self.tracker
             )
         except OSError as exc:

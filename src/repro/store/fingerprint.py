@@ -40,7 +40,7 @@ __all__ = [
 #: config canonicalization or hashing recipe changes, or when the
 #: analysis of an unchanged trace and config stops reproducing stored
 #: result bits (so a store filled by older code is not served as current).
-FINGERPRINT_FORMAT = "repro-fp/2"
+FINGERPRINT_FORMAT = "repro-fp/3"
 
 #: AnalyzerConfig fields that cannot affect analysis output.
 _NON_SEMANTIC_FIELDS = ("n_jobs", "profile", "progress_every")

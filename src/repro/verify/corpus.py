@@ -48,12 +48,23 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass
 class PWLCase:
+    """A fitting problem with its fixed ``breakpoints``.
+
+    ``searchable=False`` marks shapes built for the fixed-breakpoint
+    solver (the monotone constraint binds), on which the breakpoint
+    search is ill-posed: it ranks by unconstrained SSE, and on data
+    that truly decrease or jump down the extra breakpoints it adds fit
+    noise with near-tied SSEs, so two correct rankings can select
+    different models.
+    """
+
     name: str
     x: np.ndarray
     y: np.ndarray
     breakpoints: Tuple[float, ...]
     anchor: bool = True
     monotone: bool = True
+    searchable: bool = True
 
 
 def _pwl_curve(rng: np.random.Generator, breakpoints: Sequence[float], x: np.ndarray):
@@ -114,6 +125,32 @@ def pwl_datasets(seed: int, full: bool = False) -> List[PWLCase]:
             x=x,
             y=_pwl_curve(rng, [0.01, 0.99], x) + rng.normal(0.0, 0.01, x.size),
             breakpoints=(0.01, 0.99),
+        )
+    )
+    # Truly decreasing middle segment: the unconstrained fit has a
+    # negative slope there, so the monotone constraint binds.
+    x = rng.uniform(0.0, 1.0, size=200)
+    y = np.interp(x, [0.0, 0.4, 0.6, 1.0], [0.0, 0.6, 0.35, 1.0])
+    cases.append(
+        PWLCase(
+            name="decreasing_segment",
+            x=x,
+            y=y + rng.normal(0.0, 0.005, x.size),
+            breakpoints=(0.4, 0.6),
+            searchable=False,
+        )
+    )
+    # No samples between two breakpoints, and the data drop across the
+    # gap: that segment's slope only carries the step, downwards.
+    x = np.concatenate([rng.uniform(0.0, 0.45, 90), rng.uniform(0.55, 1.0, 90)])
+    y = np.where(x < 0.5, x, x - 0.2)
+    cases.append(
+        PWLCase(
+            name="empty_segment",
+            x=x,
+            y=y + rng.normal(0.0, 0.005, x.size),
+            breakpoints=(0.45, 0.55),
+            searchable=False,
         )
     )
     # Constant y: the monotone fit should go all-zero slopes.

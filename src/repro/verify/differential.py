@@ -394,9 +394,11 @@ def _suite_filter(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
 
 @_suite("pwlr_lstsq")
 def _suite_pwlr_lstsq(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
-    """fit_fixed_breakpoints (lstsq / scipy nnls) vs normal equations +
-    Lawson–Hanson.  Different solvers for the same convex problem:
-    coefficients agree to solver tolerance, the optimal SSE tighter."""
+    """fit_fixed_breakpoints (thin QR + small active-set NNLS) vs normal
+    equations + Lawson–Hanson on the full design.  Different solvers for
+    the same convex problem: coefficients agree to solver tolerance, the
+    optimal SSE tighter.  The ``decreasing_segment`` and
+    ``empty_segment`` cases make the monotone constraint bind."""
     from repro.fitting.pwlr import fit_fixed_breakpoints
     from repro.verify.corpus import pwl_datasets
     from repro.verify.oracles import oracle_fit_fixed_breakpoints
@@ -435,9 +437,9 @@ def _suite_pwlr_kernel(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     profile.  Injecting :func:`~repro.verify.oracles.oracle_grid_sse`
     (one dense least squares per candidate) through the search's
     private ``grid_scorer`` seam changes nothing else — continuous
-    refinement and the final exact fit are shared — so every corpus
-    case must select the same breakpoints and produce a bit-identical
-    model.
+    refinement and the final exact fit are shared — so every searchable
+    corpus case must select the same breakpoints and produce a
+    bit-identical model.
     """
     import functools
 
@@ -446,7 +448,7 @@ def _suite_pwlr_kernel(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     from repro.verify.oracles import oracle_grid_sse
 
     out: List[Divergence] = []
-    cases = pwl_datasets(ctx.seed, ctx.full)
+    cases = [case for case in pwl_datasets(ctx.seed, ctx.full) if case.searchable]
     for case in cases:
         cfg = PWLRConfig(anchor=case.anchor, monotone=case.monotone)
         got = fit_pwlr(case.x, case.y, config=cfg)

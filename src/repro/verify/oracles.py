@@ -290,10 +290,11 @@ def oracle_fit_fixed_breakpoints(
     Returns ``(intercept, slopes, data_sse)``.  Same problem statement
     as ``fit_fixed_breakpoints`` — anchor pseudo-points (0,0)/(1,1) each
     weighted ``anchor_weight * n``, slopes-as-coefficients basis, free
-    intercept split ``a+ - a-`` under the monotone (non-negative slope)
-    constraint — solved by the normal equations / Lawson–Hanson instead
-    of ``lstsq`` / ``scipy.optimize.nnls``.  Agreement is to solver
-    tolerance, not bit-exact (documented in docs/VERIFICATION.md).
+    intercept (split ``a+ - a-`` here under the monotone, non-negative
+    slope constraint) — solved on the full design by the normal
+    equations / Lawson–Hanson instead of the thin-QR small system.
+    Agreement is to solver tolerance, not bit-exact (documented in
+    docs/VERIFICATION.md).
     """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]

@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +92,23 @@ class TestPublicClassesDocumented:
                     if inspect.isfunction(attr) and not attr.__doc__:
                         undocumented.append(f"{name}.{attr_name}")
         assert not undocumented, f"undocumented methods: {undocumented}"
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_and_http_server(self):
+        """Every ``repro`` command imports ``repro.cli`` before it reads a
+        byte: scipy (≈0.5 s and a second BLAS) and ``http.server`` stay
+        out until something really needs them."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import json, sys, repro.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.') or m == 'http.server')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert json.loads(out) == []

@@ -316,13 +316,15 @@ class TestRefitSlopesMany:
             assert got.sse == want.sse
 
     def test_unconstrained_batch_matches_loop(self):
+        """Both branches solve each counter through the same small
+        system, so the unconstrained batch is bit-identical too."""
         x, ys, model = self._make()
         batched = refit_slopes_many(x, ys, model, monotone=False)
         for yy, got in zip(ys, batched):
             want = refit_slopes(x, yy, model, monotone=False)
-            assert np.allclose(got.slopes, want.slopes, rtol=1e-9, atol=1e-11)
-            assert got.intercept == pytest.approx(want.intercept, rel=1e-9, abs=1e-11)
-            assert got.sse == pytest.approx(want.sse, rel=1e-9, abs=1e-12)
+            assert np.array_equal(got.slopes, want.slopes)
+            assert got.intercept == want.intercept
+            assert got.sse == want.sse
 
     def test_counts_one_refit_per_counter(self):
         x, ys, model = self._make(n_counters=3)

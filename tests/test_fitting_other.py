@@ -1,4 +1,4 @@
-"""Tests for fitting.linear, model_selection, kernel_smooth, evaluation."""
+"""Tests for fitting.model_selection, kernel_smooth, evaluation."""
 
 import numpy as np
 import pytest
@@ -6,37 +6,9 @@ import pytest
 from repro.errors import FittingError
 from repro.fitting.evaluation import evaluate_fit, evaluate_series
 from repro.fitting.kernel_smooth import KernelSmoother, smoother_breakpoints
-from repro.fitting.linear import weighted_lstsq
 from repro.fitting.model_selection import aic, bic, merge_insignificant
 from repro.fitting.pwlr import PiecewiseLinearModel, fit_pwlr
 from repro.machine.rates import RateFunction, RateSegment
-
-
-class TestWeightedLstsq:
-    def test_unweighted_matches_polyfit(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, 100)
-        y = 2.0 + 3.0 * x + rng.normal(0, 0.1, 100)
-        design = np.column_stack([np.ones_like(x), x])
-        coeffs, _ = weighted_lstsq(design, y)
-        ref = np.polyfit(x, y, 1)
-        assert coeffs[1] == pytest.approx(ref[0], rel=1e-9)
-        assert coeffs[0] == pytest.approx(ref[1], rel=1e-9)
-
-    def test_weights_pull_fit(self):
-        x = np.array([0.0, 1.0, 2.0])
-        y = np.array([0.0, 10.0, 0.0])
-        design = np.column_stack([np.ones_like(x)])
-        heavy_mid, _ = weighted_lstsq(design, y, np.array([1.0, 100.0, 1.0]))
-        assert heavy_mid[0] > 5.0
-
-    def test_validation(self):
-        with pytest.raises(FittingError):
-            weighted_lstsq(np.zeros(3), np.zeros(3))
-        with pytest.raises(FittingError):
-            weighted_lstsq(np.zeros((3, 1)), np.zeros(4))
-        with pytest.raises(FittingError):
-            weighted_lstsq(np.zeros((3, 1)), np.zeros(3), np.array([-1.0, 1, 1]))
 
 
 class TestInformationCriteria:

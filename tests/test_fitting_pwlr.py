@@ -7,10 +7,13 @@ from repro.errors import FittingError
 from repro.fitting.pwlr import (
     PiecewiseLinearModel,
     PWLRConfig,
+    _bounded_brent,
     fit_fixed_breakpoints,
     fit_pwlr,
+    nnls,
     refit_slopes,
 )
+from repro.observability.context import Observability
 
 
 def pwl_curve(x, breakpoints, slopes, intercept=0.0):
@@ -135,6 +138,95 @@ class TestFitFixedBreakpoints:
             fit_fixed_breakpoints(np.linspace(0, 1, 10), np.zeros(9), [])
         with pytest.raises(FittingError):
             fit_fixed_breakpoints(np.linspace(0, 1, 10), np.zeros(10), [1.5])
+
+
+class TestMonotoneSolver:
+    """The small active-set NNLS behind every monotone fit."""
+
+    @staticmethod
+    def _active_set_solves(x, y, breaks):
+        obs = Observability(collect_rss=False)
+        with obs.activate():
+            model = fit_fixed_breakpoints(x, y, breaks, monotone=True)
+        return model, obs.metrics.snapshot().get("pwlr.nnls_active_set", 0)
+
+    def test_active_set_counts_only_infeasible_solves(self):
+        rng = np.random.default_rng(4)
+        x = np.sort(rng.uniform(0, 1, 400))
+        rising = normalized_pwl(x, [0.4, 0.6], [1.5, 0.3, 1.2])
+        model, solves = self._active_set_solves(x, rising, [0.4, 0.6])
+        assert solves == 0 and np.all(model.slopes > 0)
+
+        falling = np.interp(x, [0.0, 0.4, 0.6, 1.0], [0.0, 0.6, 0.35, 1.0])
+        free = fit_fixed_breakpoints(x, falling, [0.4, 0.6], monotone=False)
+        assert free.slopes[1] < 0
+        model, solves = self._active_set_solves(x, falling, [0.4, 0.6])
+        assert solves == 1
+        assert model.slopes[1] == 0.0 and np.all(model.slopes >= 0)
+        assert model.sse > free.sse
+
+    def test_matches_scipy_nnls(self):
+        from scipy.optimize import nnls as scipy_nnls
+
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            k = int(rng.integers(1, 9))
+            a = np.triu(rng.normal(size=(k, k))) + np.diag(rng.uniform(0.5, 2, k))
+            b = rng.normal(size=k)
+            got = nnls(a, b)
+            want, want_norm = scipy_nnls(a, b)
+            assert np.all(got >= 0)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+            got_norm = np.linalg.norm(a @ got - b)
+            assert got_norm == pytest.approx(want_norm, rel=1e-9, abs=1e-12)
+
+    def test_rejects_nonfinite_input(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            nnls(np.eye(2), np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            nnls(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2))
+
+
+class TestBoundedBrent:
+    def test_matches_scipy_bit_for_bit(self):
+        """Same ``x``, ``fun`` and evaluation count as scipy's bounded
+        method on smooth, multimodal, flat, NaN-returning and
+        boundary-minimum objectives."""
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(3)
+        shapes = [
+            lambda c: (lambda v: (v - c) ** 2),
+            lambda c: (lambda v: np.sin(9.0 * v + c) + 0.2 * v),
+            lambda c: (lambda v: 1.0),
+            lambda c: (lambda v: float("nan") if v > c else (v - c) ** 2),
+            lambda c: (lambda v: float("nan")),
+            lambda c: (lambda v: c * v),
+            lambda c: (lambda v: abs(v - c) ** 0.5),
+            lambda c: (lambda v: round(v * 7.0) / 7.0 - c),
+        ]
+        cases = 0
+        for draw in range(30):
+            lo = float(rng.uniform(-1.0, 0.9))
+            hi = lo + float(10.0 ** rng.uniform(-6, 0.5))
+            for make in shapes:
+                objective = make(float(rng.uniform(lo - 0.5, hi + 0.5)))
+                calls = []
+
+                def counted(v, objective=objective, calls=calls):
+                    calls.append(v)
+                    return objective(v)
+
+                want = minimize_scalar(
+                    objective, bounds=(lo, hi), method="bounded",
+                    options={"xatol": 1e-5},
+                )
+                got_x, got_fun = _bounded_brent(counted, lo, hi, xatol=1e-5)
+                assert np.float64(got_x).tobytes() == np.float64(want.x).tobytes()
+                assert np.float64(got_fun).tobytes() == np.float64(want.fun).tobytes()
+                assert len(calls) == want.nfev
+                cases += 1
+        assert cases >= 200
 
 
 class TestFitPwlrAuto:

@@ -106,6 +106,20 @@ class TestRecordSchema:
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
         }
 
+    def test_host_info_without_scipy(self, monkeypatch):
+        """scipy is read from the package metadata and is optional."""
+        from importlib import metadata
+
+        real_version = metadata.version
+
+        def version(name):
+            if name == "scipy":
+                raise metadata.PackageNotFoundError(name)
+            return real_version(name)
+
+        monkeypatch.setattr(metadata, "version", version)
+        assert host_info()["scipy"] is None
+
 
 class TestStageTable:
     def test_none_profile_is_empty(self):

@@ -167,6 +167,23 @@ class TestAnalyzeCached:
             cold.result, generate_hints(cold.result)
         ) == render_report(warm.result, generate_hints(warm.result))
 
+    def test_previous_format_store_is_not_served(
+        self, tmp_path, multiphase_trace_file, monkeypatch
+    ):
+        """Results stored under ``repro-fp/2`` were fit by the tall scipy
+        NNLS; the small-system fit moves their bits, so they miss."""
+        import repro.store.fingerprint as fingerprint
+
+        assert fingerprint.FINGERPRINT_FORMAT == "repro-fp/3"
+        store = ResultStore(str(tmp_path / "store"))
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprint, "FINGERPRINT_FORMAT", "repro-fp/2")
+            old = analyze_cached(multiphase_trace_file, store)
+        fresh = analyze_cached(multiphase_trace_file, store)
+        assert not fresh.cache_hit
+        assert fresh.fingerprint != old.fingerprint
+        assert len(store) == 2
+
     def test_config_change_misses(self, tmp_path, multiphase_trace_file):
         store = ResultStore(str(tmp_path / "store"))
         analyze_cached(multiphase_trace_file, store)
